@@ -17,7 +17,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import gauss_rule
+from .quadrature import _unit_points, gauss_rule
 
 __all__ = [
     "legendre",
@@ -33,18 +33,11 @@ _MAX_ETA = 12
 _MAX_BERNOULLI = 10
 
 
-def _check_unit_interval(t: np.ndarray, what: str = "t") -> None:
-    if t.size and (np.min(t) < 0.0 or np.max(t) > 1.0):
-        bad = t[(t < 0.0) | (t > 1.0)].ravel()[0]
-        raise DomainError(f"{what}={bad!r} outside [0, 1]")
-
-
 def legendre_table(r: int, t) -> np.ndarray:
     """Stack L_0(t), ..., L_{r-1}(t) into an array of shape (r,) + t.shape."""
     if not 1 <= r <= _MAX_ETA + 1:
         raise DomainError(f"r must be in [1, {_MAX_ETA + 1}], got {r}")
-    t = np.asarray(t, dtype=float)
-    _check_unit_interval(t)
+    t = _unit_points(t, "t")
     u = 2.0 * t - 1.0
     out = np.empty((r,) + t.shape)
     out[0] = 1.0
@@ -105,8 +98,7 @@ def j_k(r: int, k: int, tau):
     """
     if not 1 <= k <= 2 * r + 1:
         raise DomainError(f"k must be in [1, {2 * r + 1}] for r={r}, got {k}")
-    tau_arr = np.asarray(tau, dtype=float)
-    _check_unit_interval(tau_arr, "tau")
+    tau_arr = _unit_points(tau, "tau")
     flat = np.atleast_1d(tau_arr).ravel()
     rho = min(20, (r + k) // 2 + 2)
     rule = gauss_rule(rho)

@@ -17,13 +17,9 @@ import numpy as np
 from .basis import bbar, bernoulli, j_k, j_square_integral
 from .errors import ConvergenceError, UnknownProblemError
 from .extrapolate import ConvergenceReport, convergence_study, refinement_for
-from .galerkin import (
-    iterated_eval,
-    minimal_rho,
-    partition_point_errors,
-    solve_discrete_galerkin,
-)
+from .galerkin import iterated_eval, minimal_rho, solve_discrete_galerkin
 from .problems import available_problems, get_problem
+from .quadrature import values_on
 
 __all__ = ["run", "main", "format_report"]
 
@@ -59,6 +55,37 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
+def _write_table(fmt: str, columns, title: list, doc: dict) -> str:
+    """Render one table as csv or md text, or ``doc`` as json text.
+
+    ``columns`` lists (name, values, md_cell).  ``values`` is a list whose
+    None entries are blank cells, or None for a column without data, which
+    csv keeps with empty fields and md leaves out.  csv cells carry 9
+    significant digits; md cells use the format spec ``md_cell`` and follow
+    the ``title`` lines.
+    """
+    if fmt == "json":
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    size = len(columns[0][1])
+    if fmt == "csv":
+        cols = [[None] * size if values is None else values for _, values, _ in columns]
+        lines = [",".join(name for name, _, _ in columns)]
+        lines += [",".join(_sci(col[i]) for col in cols) for i in range(size)]
+    elif fmt == "md":
+        shown = [col for col in columns if col[1] is not None]
+        lines = [
+            *title,
+            "| " + " | ".join(name for name, _, _ in shown) + " |",
+            "|" + "|".join("-" * (len(name) + 2) for name, _, _ in shown) + "|",
+        ]
+        for i in range(size):
+            cells = ["" if v[i] is None else format(v[i], cell) for _, v, cell in shown]
+            lines.append("| " + " | ".join(cells) + " |")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    return "\n".join(lines) + "\n"
+
+
 def format_report(report: ConvergenceReport, fmt: str) -> str:
     """Serialize a ConvergenceReport as csv, md, or json text.
 
@@ -66,58 +93,6 @@ def format_report(report: ConvergenceReport, fmt: str) -> str:
     orders, and extrapolated columns are all defined when the ladder has
     three or more levels); json carries every level plus solve metadata.
     """
-    if fmt == "csv":
-        return _report_csv(report)
-    if fmt == "md":
-        return _report_md(report)
-    if fmt == "json":
-        return _report_json(report)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _level_rows(level):
-    size = level.points.size
-    eps_ex = level.eps_ex.tolist() if level.eps_ex is not None else [None] * size
-    order_ex = list(level.order_ex) if level.order_ex is not None else [None] * size
-    for i, t in enumerate(level.points.tolist()):
-        yield t, float(level.eps_s[i]), level.order_s[i], eps_ex[i], order_ex[i]
-
-
-def _report_csv(report: ConvergenceReport) -> str:
-    level = report.levels[0]
-    lines = ["t,eps_S,order_S,eps_EX,order_EX"]
-    for t, eps_s, order_s, eps_ex, order_ex in _level_rows(level):
-        lines.append(
-            ",".join([_sci(t), _sci(eps_s), _sci(order_s), _sci(eps_ex), _sci(order_ex)])
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _report_md(report: ConvergenceReport) -> str:
-    level = report.levels[0]
-    header = (
-        f"Iterated-solution errors for problem {report.problem}, r={report.r}, "
-        f"n={level.n} (m={level.m})"
-    )
-    lines = [
-        header,
-        "",
-        "| t | eps_S | order_S | eps_EX | order_EX |",
-        "|---|-------|---------|--------|----------|",
-    ]
-    for t, eps_s, order_s, eps_ex, order_ex in _level_rows(level):
-        cells = [
-            f"{t:.2f}",
-            f"{eps_s:.2e}",
-            "" if order_s is None else f"{order_s:.2f}",
-            "" if eps_ex is None else f"{eps_ex:.2e}",
-            "" if order_ex is None else f"{order_ex:.2f}",
-        ]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def _report_json(report: ConvergenceReport) -> str:
     levels = []
     metadata = []
     for level in report.levels:
@@ -149,7 +124,21 @@ def _report_json(report: ConvergenceReport) -> str:
         "levels": levels,
         "metadata": {"solves": metadata},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    first = levels[0]
+    blank = [None] * len(first["t"])
+    columns = [
+        ("t", first["t"], ".2f"),
+        ("eps_S", first["eps_S"], ".2e"),
+        ("order_S", first["order_S"], ".2f"),
+        ("eps_EX", first["eps_EX"] or blank, ".2e"),
+        ("order_EX", first["order_EX"] or blank, ".2f"),
+    ]
+    title = [
+        f"Iterated-solution errors for problem {report.problem}, r={report.r}, "
+        f"n={first['n']} (m={first['m']})",
+        "",
+    ]
+    return _write_table(fmt, columns, title, doc)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -207,49 +196,30 @@ def _cmd_solve(args) -> int:
     z_s = iterated_eval(sol, pts)
     eps = None
     if problem.exact is not None:
-        eps = [err for _, err in partition_point_errors(sol)]
-
-    if args.format == "csv":
-        lines = ["t,z_S,eps_S"]
-        for i, t in enumerate(pts.tolist()):
-            lines.append(
-                ",".join([_sci(t), _sci(z_s[i]), _sci(eps[i] if eps is not None else None)])
-            )
-        text = "\n".join(lines) + "\n"
-    elif args.format == "json":
-        doc = {
-            "problem": problem.name,
-            "r": sol.r,
-            "n": sol.grid.n,
-            "p": sol.grid.p,
-            "m": sol.grid.m,
-            "rho": sol.grid.rule.npoints,
-            "t": pts.tolist(),
-            "z_S": z_s.tolist(),
-            "eps_S": None if eps is None else list(eps),
-            "metadata": {
-                "newton_iterations": sol.newton_iterations,
-                "final_residual_norm": sol.final_residual_norm,
-            },
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [
-            f"problem {problem.name}: n={sol.grid.n}, r={sol.r}, p={sol.grid.p} "
-            f"(m={sol.grid.m}), rho={sol.grid.rule.npoints}",
-            f"newton: {sol.newton_iterations} iterations, "
-            f"final residual {sol.final_residual_norm:.2e}",
-            "",
-            "| t | z_S |" + (" eps_S |" if eps is not None else ""),
-            "|---|-----|" + ("-------|" if eps is not None else ""),
-        ]
-        for i, t in enumerate(pts.tolist()):
-            row = f"| {t:.2f} | {z_s[i]:.9e} |"
-            if eps is not None:
-                row += f" {eps[i]:.2e} |"
-            lines.append(row)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+        eps = np.abs(values_on(problem.exact, pts) - z_s).tolist()
+    grid = sol.grid
+    columns = [("t", pts.tolist(), ".2f"), ("z_S", z_s.tolist(), ".9e"), ("eps_S", eps, ".2e")]
+    title = [
+        f"problem {problem.name}: n={grid.n}, r={sol.r}, p={grid.p} "
+        f"(m={grid.m}), rho={grid.rule.npoints}",
+        f"newton: {sol.newton_iterations} iterations, "
+        f"final residual {sol.final_residual_norm:.2e}",
+        "",
+    ]
+    doc = {
+        "problem": problem.name,
+        "r": sol.r,
+        "n": grid.n,
+        "p": grid.p,
+        "m": grid.m,
+        "rho": grid.rule.npoints,
+        **{name: values for name, values, _ in columns},
+        "metadata": {
+            "newton_iterations": sol.newton_iterations,
+            "final_residual_norm": sol.final_residual_norm,
+        },
+    }
+    _emit(_write_table(args.format, columns, title, doc), args.output)
     return EXIT_OK
 
 

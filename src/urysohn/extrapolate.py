@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridMismatchError
-from .galerkin import iterated_eval, minimal_rho, solve_discrete_galerkin
+from .galerkin import iterated_eval, solve_discrete_galerkin
 from .problems import UrysohnProblem
 from .quadrature import values_on
 
@@ -91,27 +91,19 @@ def estimate_order(e_coarse: float, e_fine: float):
 def refinement_for(n: int, r: int, p_rule) -> int:
     """Resolve a refinement rule to the fine-interval count p for given n.
 
-    Accepted forms: "pow" (p = n**r, the default), "fixed:<p>", a plain
-    integer, or a callable n -> p.
+    Accepted forms: "pow" (p = n**r, the default) and "fixed:<p>".
     """
     if p_rule is None or p_rule == "pow":
         return n**r
-    if isinstance(p_rule, str):
-        if p_rule.startswith("fixed:"):
-            try:
-                p = int(p_rule.split(":", 1)[1])
-            except ValueError:
-                raise ValueError(f"bad refinement rule {p_rule!r}") from None
-            if p < 1:
-                raise ValueError(f"refinement p must be >= 1, got {p}")
-            return p
-        raise ValueError(f"unknown refinement rule {p_rule!r} (use 'pow' or 'fixed:<p>')")
-    if callable(p_rule):
-        return int(p_rule(n))
-    p = int(p_rule)
-    if p < 1:
-        raise ValueError(f"refinement p must be >= 1, got {p}")
-    return p
+    if isinstance(p_rule, str) and p_rule.startswith("fixed:"):
+        try:
+            p = int(p_rule.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad refinement rule {p_rule!r}") from None
+        if p < 1:
+            raise ValueError(f"refinement p must be >= 1, got {p}")
+        return p
+    raise ValueError(f"unknown refinement rule {p_rule!r} (use 'pow' or 'fixed:<p>')")
 
 
 @dataclass(frozen=True)
@@ -195,11 +187,9 @@ def convergence_study(
         raise ValueError(f"each n must double the previous one, got {ns}")
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    if rho is None:
-        rho = minimal_rho(r)
 
-    traces = []
-    stats = []
+    solved = []
+    z_s = []
     for n in ns:
         p = refinement_for(n, r, p_rule)
         start = time.perf_counter()
@@ -213,53 +203,39 @@ def convergence_study(
             ) from exc
         wall = time.perf_counter() - start
         pts = sol.grid.partition_points
-        z_s = iterated_eval(sol, pts)
-        eps = np.abs(values_on(problem.exact, pts) - z_s)
-        traces.append(PointValues(points=pts, values=z_s))
-        stats.append(
-            dict(
-                n=n,
-                p=p,
-                m=n * p,
-                rho=rho,
-                points=pts,
-                z_s=z_s,
-                eps_s=eps,
-                iterations=sol.newton_iterations,
-                final_residual=sol.final_residual_norm,
-                wall=wall,
-            )
-        )
+        solved.append((sol, wall))
+        z_s.append(PointValues(points=pts, values=iterated_eval(sol, pts)))
 
     count = len(ns)
-    eps_ex_levels: list = [None] * count
+    eps_s = [np.abs(values_on(problem.exact, z.points) - z.values) for z in z_s]
+    eps_ex: list = [None] * count
     for i in range(count - 1):
-        extrap = richardson(traces[i], traces[i + 1], r)
-        eps_ex_levels[i] = np.abs(values_on(problem.exact, extrap.points) - extrap.values)
+        extrap = richardson(z_s[i], z_s[i + 1], r)
+        eps_ex[i] = np.abs(values_on(problem.exact, extrap.points) - extrap.values)
 
     levels = []
-    for i, st in enumerate(stats):
-        order_s = None
+    for i, (sol, wall) in enumerate(solved):
+        order_s = (None,) * z_s[i].points.size
         if i + 1 < count:
-            order_s = _orders_between(st["eps_s"], stats[i + 1]["eps_s"][::2])
+            order_s = _orders_between(eps_s[i], eps_s[i + 1][::2])
         order_ex = None
         if i + 2 < count:
-            order_ex = _orders_between(eps_ex_levels[i], eps_ex_levels[i + 1][::2])
+            order_ex = _orders_between(eps_ex[i], eps_ex[i + 1][::2])
         levels.append(
             LevelResult(
-                n=st["n"],
-                p=st["p"],
-                m=st["m"],
-                rho=st["rho"],
-                points=st["points"],
-                z_s=st["z_s"],
-                eps_s=st["eps_s"],
-                order_s=order_s if order_s is not None else tuple([None] * st["points"].size),
-                eps_ex=eps_ex_levels[i],
+                n=sol.grid.n,
+                p=sol.grid.p,
+                m=sol.grid.m,
+                rho=sol.grid.rule.npoints,
+                points=z_s[i].points,
+                z_s=z_s[i].values,
+                eps_s=eps_s[i],
+                order_s=order_s,
+                eps_ex=eps_ex[i],
                 order_ex=order_ex,
-                newton_iterations=st["iterations"],
-                final_residual_norm=st["final_residual"],
-                wall_time=st["wall"],
+                newton_iterations=sol.newton_iterations,
+                final_residual_norm=sol.final_residual_norm,
+                wall_time=wall,
             )
         )
     return ConvergenceReport(problem=problem.name, r=r, levels=tuple(levels))

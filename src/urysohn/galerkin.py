@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, PrecisionError, SingularOperatorError
-from .nystrom import GridFunction, _weighted_kernel_sum, apply_km
+from .errors import PrecisionError
+from .nystrom import GridFunction, _extension, _newton, _weighted_kernel_sum
 from .problems import UrysohnProblem, kernel_eval
 from .projection import PiecewiseLegendre, basis_matrix
 from .quadrature import CompositeGrid, build_grid, gauss_rule, values_on
@@ -134,8 +134,6 @@ def solve_discrete_galerkin(
         )
     if n * r > _MAX_COEFFS:
         raise ValueError(f"n*r = {n * r} exceeds coefficient cap {_MAX_COEFFS}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     grid = build_grid(n, p, gauss_rule(rho))
     block = p * rho
@@ -146,52 +144,41 @@ def solve_discrete_galerkin(
     f_nodes = values_on(problem.f, grid.nodes)
     c_f = (f_nodes.reshape(n, block) * w_block[None, :]) @ basis
 
-    coeffs = c_f.copy()
-    trace = []
-    for iteration in range(1, max_iter + 1):
-        zvals = (coeffs @ basis.T).ravel()
-        km_vals = _weighted_kernel_sum(problem, grid, zvals, grid.nodes, order=0)
-        pi_c = (km_vals.reshape(n, block) * w_block[None, :]) @ basis
-        residual = coeffs - pi_c - c_f
-        rnorm = float(np.max(np.abs(residual)))
-        trace.append(rnorm)
-        if rnorm <= tol:
-            return GalerkinSolution(
-                problem=problem,
-                grid=grid,
-                r=r,
-                z_g=PiecewiseLegendre(n=n, r=r, coeffs=coeffs),
-                z_g_node_values=GridFunction(grid, zvals),
-                newton_iterations=iteration,
-                final_residual_norm=rnorm,
-                residual_norms=tuple(trace),
-            )
-        jac = _jacobian(problem, grid, zvals, wb, n, r)
-        try:
-            step = np.linalg.solve(jac, -residual.ravel())
-        except np.linalg.LinAlgError:
-            raise SingularOperatorError(
-                "Galerkin Newton matrix is singular: 1 is numerically an "
-                "eigenvalue of the projected linearised operator",
-                residual_norms=trace,
-            ) from None
-        if not np.all(np.isfinite(step)):
-            raise ConvergenceError("Newton step is non-finite", residual_norms=trace)
-        coeffs = coeffs + step.reshape(n, r)
+    def node_values(coeffs):
+        return (coeffs @ basis.T).ravel()
 
-    raise ConvergenceError(
-        f"Newton did not reach tol={tol} in {max_iter} iterations "
-        f"(last residual {trace[-1]:.3e})",
-        residual_norms=trace,
+    def residual(coeffs):
+        km_vals = _weighted_kernel_sum(problem, grid, node_values(coeffs), grid.nodes, order=0)
+        return coeffs - (km_vals.reshape(n, block) * w_block[None, :]) @ basis - c_f
+
+    def newton_step(coeffs, res):
+        jac = _jacobian(problem, grid, node_values(coeffs), wb, n, r)
+        return np.linalg.solve(jac, -res.ravel()).reshape(n, r)
+
+    coeffs, trace = _newton(
+        c_f.copy(),
+        residual,
+        newton_step,
+        tol,
+        max_iter,
+        "Galerkin Newton matrix is singular: 1 is numerically an "
+        "eigenvalue of the projected linearised operator",
+    )
+    return GalerkinSolution(
+        problem=problem,
+        grid=grid,
+        r=r,
+        z_g=PiecewiseLegendre(n=n, r=r, coeffs=coeffs),
+        z_g_node_values=GridFunction(grid, node_values(coeffs)),
+        newton_iterations=len(trace),
+        final_residual_norm=trace[-1],
+        residual_norms=tuple(trace),
     )
 
 
 def iterated_eval(sol: GalerkinSolution, s):
     """Evaluate the iterated solution z_S(s) = K_m(z_G)(s) + f(s)."""
-    s_arr = np.asarray(s, dtype=float)
-    flat = np.atleast_1d(s_arr).ravel()
-    out = values_on(sol.problem.f, flat) + apply_km(sol.problem, sol.z_g_node_values, flat)
-    return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
+    return _extension(sol.problem, sol.z_g_node_values, s)
 
 
 def partition_point_errors(sol: GalerkinSolution, exact=None):

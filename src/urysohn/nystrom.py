@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SingularOperatorError
+from .errors import ConvergenceError, SingularOperatorError
 from .problems import UrysohnProblem, kernel_eval
-from .quadrature import CompositeGrid, values_on
+from .quadrature import CompositeGrid, _unit_points, values_on
 
 __all__ = ["GridFunction", "apply_km", "km_prime_apply", "solve_nystrom", "NystromSolution"]
 
@@ -51,14 +51,6 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
 
-def _check_s(s) -> np.ndarray:
-    s_arr = np.asarray(s, dtype=float)
-    if s_arr.size and (np.min(s_arr) < 0.0 or np.max(s_arr) > 1.0):
-        bad = s_arr[(s_arr < 0.0) | (s_arr > 1.0)].ravel()[0]
-        raise DomainError(f"s={bad!r} outside [0, 1]")
-    return s_arr
-
-
 def _weighted_kernel_sum(problem, grid, xvals, s_flat, order, weight_extra=None):
     """sum_b W_b [extra_b] * kernel(s_a, node_b, xvals_b), chunked over a."""
     w = grid.node_weights if weight_extra is None else grid.node_weights * weight_extra
@@ -74,7 +66,7 @@ def _weighted_kernel_sum(problem, grid, xvals, s_flat, order, weight_extra=None)
 
 def apply_km(problem: UrysohnProblem, x: GridFunction, s):
     """Evaluate the discretised operator K_m(x) at points s in [0, 1]."""
-    s_arr = _check_s(s)
+    s_arr = _unit_points(s)
     out = _weighted_kernel_sum(
         problem, x.grid, x.values, np.atleast_1d(s_arr).ravel(), order=0
     )
@@ -88,7 +80,7 @@ def km_prime_apply(problem: UrysohnProblem, base: GridFunction, v: GridFunction,
     """
     if base.grid is not v.grid and base.grid.node_count != v.grid.node_count:
         raise ValueError("base and direction must live on the same grid")
-    s_arr = _check_s(s)
+    s_arr = _unit_points(s)
     out = _weighted_kernel_sum(
         problem,
         base.grid,
@@ -98,6 +90,61 @@ def km_prime_apply(problem: UrysohnProblem, base: GridFunction, v: GridFunction,
         weight_extra=v.values,
     )
     return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
+
+
+def _extension(problem: UrysohnProblem, x: GridFunction, s):
+    """Natural extension f(s) + K_m(x)(s) at points s in [0, 1]."""
+    s_arr = np.asarray(s, dtype=float)
+    flat = np.atleast_1d(s_arr).ravel()
+    out = values_on(problem.f, flat) + apply_km(problem, x, flat)
+    return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
+
+
+def _newton(x0, residual, newton_step, tol, max_iter, singular_message):
+    """Newton's method on residual(x) = 0 from x0; returns (x, residual trace).
+
+    The one Newton loop of the package: solve_nystrom iterates on node
+    values, solve_discrete_galerkin on Galerkin coefficients.
+
+    ``newton_step(x, res)`` solves the linearised system J(x) step = -res;
+    the trace holds the sup norm of each residual.  An iterate is accepted
+    once that norm is <= ``tol``, unless the rounding floor eps*max|x| of
+    the iterate exceeds ``tol``: then the small residual says nothing.  On
+    an equation without a solution that is how a nearly singular Newton
+    matrix shows, through an iterate grown to ~1/eps.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    x = x0
+    trace = []
+    for _ in range(max_iter):
+        res = residual(x)
+        rnorm = float(np.max(np.abs(res)))
+        trace.append(rnorm)
+        if rnorm <= tol:
+            floor = np.finfo(float).eps * float(np.max(np.abs(x)))
+            if floor > tol:
+                raise SingularOperatorError(
+                    f"Newton residual {rnorm:.3e} met tol={tol} only by rounding: "
+                    f"the iterate's rounding floor eps*max|x| = {floor:.3e} exceeds "
+                    "tol, so the Newton matrix is nearly singular (the equation may "
+                    "have no solution) or tol is below the attainable accuracy",
+                    residual_norms=trace,
+                )
+            return x, trace
+        try:
+            step = newton_step(x, res)
+        except np.linalg.LinAlgError:
+            raise SingularOperatorError(singular_message, residual_norms=trace) from None
+        if not np.all(np.isfinite(step)):
+            raise ConvergenceError("Newton step is non-finite", residual_norms=trace)
+        x = x + step
+
+    raise ConvergenceError(
+        f"Newton did not reach tol={tol} in {max_iter} iterations "
+        f"(last residual {trace[-1]:.3e})",
+        residual_norms=trace,
+    )
 
 
 @dataclass(frozen=True)
@@ -113,10 +160,7 @@ class NystromSolution:
 
     def __call__(self, s):
         """Natural extension f(s) + K_m(x)(s); agrees with the node values."""
-        s_arr = np.asarray(s, dtype=float)
-        f_s = values_on(self.problem.f, np.atleast_1d(s_arr).ravel())
-        out = f_s + apply_km(self.problem, self.node_values, np.atleast_1d(s_arr).ravel())
-        return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
+        return _extension(self.problem, self.node_values, s)
 
 
 def solve_nystrom(
@@ -151,52 +195,41 @@ def solve_nystrom(
     n_nodes = grid.node_count
     if n_nodes > _MAX_NODES:
         raise ValueError(f"grid has {n_nodes} nodes; dense solve capped at {_MAX_NODES}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     f_nodes = values_on(problem.f, grid.nodes)
     if initial is None:
-        x = f_nodes.copy()
+        x0 = f_nodes.copy()
     elif callable(initial):
-        x = values_on(initial, grid.nodes)
+        x0 = values_on(initial, grid.nodes)
     else:
-        x = np.asarray(initial, dtype=float).copy()
-        if x.shape != (n_nodes,):
-            raise ValueError(f"initial values shape {x.shape}, expected ({n_nodes},)")
+        x0 = np.asarray(initial, dtype=float).copy()
+        if x0.shape != (n_nodes,):
+            raise ValueError(f"initial values shape {x0.shape}, expected ({n_nodes},)")
 
-    trace = []
-    for iteration in range(1, max_iter + 1):
-        km_x = _weighted_kernel_sum(problem, grid, x, grid.nodes, order=0)
-        residual = x - km_x - f_nodes
-        rnorm = float(np.max(np.abs(residual)))
-        trace.append(rnorm)
-        if rnorm <= tol:
-            return NystromSolution(
-                problem=problem,
-                grid=grid,
-                node_values=GridFunction(grid, x),
-                newton_iterations=iteration,
-                final_residual_norm=rnorm,
-                residual_norms=tuple(trace),
-            )
+    def residual(x):
+        return x - _weighted_kernel_sum(problem, grid, x, grid.nodes, order=0) - f_nodes
+
+    def newton_step(x, res):
         # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b)
         jac = kernel_eval(problem, grid.nodes[:, None], grid.nodes[None, :], x[None, :], 1)
         jac *= -grid.node_weights[None, :]
         jac[np.diag_indices_from(jac)] += 1.0
-        try:
-            step = np.linalg.solve(jac, -residual)
-        except np.linalg.LinAlgError:
-            raise SingularOperatorError(
-                "Newton matrix I - K_m'(x) is singular: 1 is numerically an "
-                "eigenvalue of the linearised operator at the current iterate",
-                residual_norms=trace,
-            ) from None
-        if not np.all(np.isfinite(step)):
-            raise ConvergenceError("Newton step is non-finite", residual_norms=trace)
-        x = x + step
+        return np.linalg.solve(jac, -res)
 
-    raise ConvergenceError(
-        f"Newton did not reach tol={tol} in {max_iter} iterations "
-        f"(last residual {trace[-1]:.3e})",
-        residual_norms=trace,
+    x, trace = _newton(
+        x0,
+        residual,
+        newton_step,
+        tol,
+        max_iter,
+        "Newton matrix I - K_m'(x) is singular: 1 is numerically an "
+        "eigenvalue of the linearised operator at the current iterate",
+    )
+    return NystromSolution(
+        problem=problem,
+        grid=grid,
+        node_values=GridFunction(grid, x),
+        newton_iterations=len(trace),
+        final_residual_norm=trace[-1],
+        residual_norms=tuple(trace),
     )

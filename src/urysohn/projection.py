@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import legendre_table
-from .errors import DomainError, PrecisionError
-from .quadrature import CompositeGrid, values_on
+from .errors import PrecisionError
+from .quadrature import CompositeGrid, _unit_points, values_on
 
 __all__ = [
     "PiecewiseLegendre",
@@ -120,10 +120,7 @@ def evaluate_piecewise(pl: PiecewiseLegendre, s):
     Interior partition points take the value from the left subinterval;
     a small tolerance absorbs floating-point noise in s*n near integers.
     """
-    s_arr = np.asarray(s, dtype=float)
-    if s_arr.size and (np.min(s_arr) < 0.0 or np.max(s_arr) > 1.0):
-        bad = s_arr[(s_arr < 0.0) | (s_arr > 1.0)].ravel()[0]
-        raise DomainError(f"s={bad!r} outside [0, 1]")
+    s_arr = _unit_points(s)
     u = s_arr * pl.n
     idx = np.clip(np.ceil(u - 1e-9).astype(int) - 1, 0, pl.n - 1)
     rel = np.clip(u - idx, 0.0, 1.0)

@@ -207,6 +207,15 @@ def build_grid(n: int, p: int, rule: QuadratureRule) -> CompositeGrid:
     )
 
 
+def _unit_points(t, what: str = "s") -> np.ndarray:
+    """``t`` as a float array; DomainError if any entry lies outside [0, 1]."""
+    t = np.asarray(t, dtype=float)
+    if t.size and (np.min(t) < 0.0 or np.max(t) > 1.0):
+        bad = t[(t < 0.0) | (t > 1.0)].ravel()[0]
+        raise DomainError(f"{what}={bad!r} outside [0, 1]")
+    return t
+
+
 def values_on(g, t: np.ndarray) -> np.ndarray:
     """Evaluate ``g`` at the points ``t`` with shape and finiteness checks.
 

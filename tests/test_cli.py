@@ -1,12 +1,14 @@
 """Command-line interface: formats, round-trips, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
+from urysohn import get_problem, problems, register_problem
 from urysohn.cli import run
 
 
@@ -201,3 +203,34 @@ def test_solve_fixed_refinement_flag(capture):
     assert code == 0
     doc = json.loads(out)
     assert doc["m"] == 20
+
+
+@pytest.fixture()
+def no_exact_problem(monkeypatch):
+    monkeypatch.setattr(problems, "_REGISTRY", dict(problems._REGISTRY))
+    name = "rpk-aks-without-exact"
+    register_problem(dataclasses.replace(get_problem("rpk-aks"), name=name, exact=None))
+    return name
+
+
+def test_solve_layouts_without_exact_solution(capture, no_exact_problem):
+    argv = ["solve", "--problem", no_exact_problem, "--n", "4", "--format"]
+    code, out, _ = capture(argv + ["csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["t", "z_S", "eps_S"]
+    assert len(rows) == 6
+    assert all(row[2] == "" for row in rows[1:])
+
+    code, out, _ = capture(argv + ["md"])
+    assert code == 0
+    table = [ln for ln in out.splitlines() if ln.startswith("|")]
+    assert table[:2] == ["| t | z_S |", "|---|-----|"]
+    assert len(table) == 7
+    assert all(row.count("|") == 3 for row in table)
+
+    code, out, _ = capture(argv + ["json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert "eps_S" in doc and doc["eps_S"] is None
+    assert len(doc["z_S"]) == 5

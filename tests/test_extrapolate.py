@@ -68,8 +68,6 @@ def test_refinement_rules():
     assert refinement_for(10, 1, "pow") == 10
     assert refinement_for(10, 2, "pow") == 100
     assert refinement_for(10, 1, "fixed:7") == 7
-    assert refinement_for(10, 1, 5) == 5
-    assert refinement_for(12, 1, lambda n: 3 * n) == 36
     with pytest.raises(ValueError):
         refinement_for(10, 1, "fixed:not-a-number")
 

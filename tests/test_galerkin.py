@@ -5,6 +5,7 @@ import pytest
 
 from urysohn import (
     PrecisionError,
+    SingularOperatorError,
     UrysohnProblem,
     build_grid,
     gauss_rule,
@@ -28,6 +29,19 @@ def zero_kernel_problem():
         kappa_lower_du=lambda s, t, u: np.zeros(shape(s, t, u)),
         kappa_upper_du=lambda s, t, u: np.zeros(shape(s, t, u)),
         f=lambda s: np.cos(np.asarray(s, dtype=float)),
+    )
+
+
+def linear_problem(c):
+    """x(s) - int_0^1 c*x(t) dt = 1: solution 1/(1 - c), none for c = 1."""
+    shape = lambda *args: np.broadcast(*args).shape
+    return UrysohnProblem(
+        name=f"linear-{c}",
+        kappa_lower=lambda s, t, u: c * np.broadcast_to(u, shape(s, t, u)),
+        kappa_upper=lambda s, t, u: c * np.broadcast_to(u, shape(s, t, u)),
+        kappa_lower_du=lambda s, t, u: np.full(shape(s, t, u), c),
+        kappa_upper_du=lambda s, t, u: np.full(shape(s, t, u), c),
+        f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
     )
 
 
@@ -180,3 +194,21 @@ def test_partition_point_errors_requires_reference():
         partition_point_errors(sol)
     custom = partition_point_errors(sol, exact=pb.f)
     assert max(abs(e) for _, e in custom) < 1e-14
+
+
+def test_equation_without_solution_is_not_reported_solved():
+    # With c = 1 the Newton matrix is singular up to rounding, so the step
+    # throws the coefficients to about -1.1e15, where the residual rounds to
+    # 1.1e-16 < tol.  That is not convergence.
+    with pytest.raises(SingularOperatorError) as exc:
+        solve_discrete_galerkin(linear_problem(1.0), 4, 1, p=1, rho=2)
+    assert len(exc.value.residual_norms) == 2
+    assert exc.value.residual_norms[-1] <= 1e-12
+    sol = solve_discrete_galerkin(linear_problem(0.5), 4, 1, p=1, rho=2)
+    assert sol.newton_iterations == 2
+    np.testing.assert_allclose(sol.z_g(np.linspace(0, 1, 5)), 2.0, rtol=1e-14)
+
+
+def test_iteration_cap_must_be_positive():
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_discrete_galerkin(get_problem("rpk-aks"), 4, 1, max_iter=0)

@@ -6,6 +6,7 @@ import pytest
 from urysohn import (
     ConvergenceError,
     GridFunction,
+    SingularOperatorError,
     UrysohnProblem,
     apply_km,
     build_grid,
@@ -141,6 +142,28 @@ def test_solver_reports_divergence_with_trace():
     with pytest.raises(ConvergenceError) as exc:
         solve_nystrom(pb, grid, max_iter=10, tol=1e-15)
     assert len(exc.value.residual_norms) >= 1
+
+
+def test_singular_newton_matrix_is_reported_with_trace():
+    # x(s) - int_0^1 x(t) dt = 1 has no solution; on 4 one-point panels the
+    # Newton matrix I - ones/4 is exactly singular at the first iterate.
+    shape = lambda *args: np.broadcast(*args).shape
+    pb = UrysohnProblem(
+        name="unit-kernel",
+        kappa_lower=lambda s, t, u: np.broadcast_to(u, shape(s, t, u)).copy(),
+        kappa_upper=lambda s, t, u: np.broadcast_to(u, shape(s, t, u)).copy(),
+        kappa_lower_du=lambda s, t, u: np.ones(shape(s, t, u)),
+        kappa_upper_du=lambda s, t, u: np.ones(shape(s, t, u)),
+        f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+    )
+    with pytest.raises(SingularOperatorError) as exc:
+        solve_nystrom(pb, build_grid(4, 1, gauss_rule(1)))
+    assert exc.value.residual_norms == [1.0]
+
+
+def test_iteration_cap_must_be_positive():
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_nystrom(get_problem("rpk-aks"), builtin_grid(4), max_iter=0)
 
 
 def test_grid_size_cap_is_enforced():
