@@ -198,7 +198,7 @@ def convergence_study(
                 problem, n, r, p=p, rho=rho, tol=tol, max_iter=max_iter
             )
         except ConvergenceError as exc:
-            raise ConvergenceError(
+            raise type(exc)(
                 f"level n={n} failed: {exc}", residual_norms=exc.residual_norms
             ) from exc
         wall = time.perf_counter() - start

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PrecisionError
-from .nystrom import GridFunction, _extension, _newton, _weighted_kernel_sum
-from .problems import UrysohnProblem, kernel_eval
+from .nystrom import GridFunction, _extension, _kernel_pieces, _newton, _weighted_kernel_sum
+from .problems import UrysohnProblem
 from .projection import PiecewiseLegendre, basis_matrix
 from .quadrature import CompositeGrid, build_grid, gauss_rule, values_on
 
@@ -81,12 +81,12 @@ def _jacobian(problem, grid, zvals, wb, n, r):
     """I - M where M[(j,eta),(k,xi)] = <K_m'(z) phi_{k,xi}, phi_{j,eta}>."""
     block = grid.p * grid.rule.npoints
     m_full = np.empty((n, r, n, r))
+    inner = np.empty((r, grid.node_count))  # eta x global node b
     for j in range(n):
-        rows = slice(j * block, (j + 1) * block)
-        deriv = kernel_eval(
-            problem, grid.nodes[rows, None], grid.nodes[None, :], zvals[None, :], 1
-        )
-        inner = wb.T @ deriv  # (r, N): eta x global node b
+        rows = grid.nodes[j * block : (j + 1) * block]
+        # one branch on the earlier and the later coarse blocks, both within block j
+        for c0, c1, piece in _kernel_pieces(problem, rows, grid.nodes, zvals, 1):
+            inner[:, c0:c1] = wb.T @ piece
         m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, block), wb)
     jac = -m_full.reshape(n * r, n * r)
     jac[np.diag_indices_from(jac)] += 1.0

@@ -24,7 +24,8 @@ from .quadrature import CompositeGrid, _unit_points, values_on
 __all__ = ["GridFunction", "apply_km", "km_prime_apply", "solve_nystrom", "NystromSolution"]
 
 _MAX_NODES = 5000
-_CHUNK = 512
+_CHUNK = 128  # points per row block of K_m and of the Nystrom Jacobian
+_PIECE = 1 << 16  # kernel entries per kernel_eval call
 
 
 @dataclass(frozen=True)
@@ -51,16 +52,50 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
 
+def _kernel_pieces(problem, s_rows, nodes, xvals, order):
+    """Yield (c0, c1, kernel(s_rows, nodes[c0:c1], xvals[c0:c1])) covering all columns.
+
+    ``nodes`` must be sorted.  Columns below ``lo`` lie on or below every
+    row and columns from ``hi`` on above every row, so kernel_eval calls
+    only one branch there; only the band [lo, hi) between the smallest and
+    the largest row needs both, and it is narrow when the rows are close.
+    Each range is cut into pieces of at most _PIECE entries, so that the
+    temporaries a branch builds fit in cache and are reused from the heap
+    instead of being mapped and page-faulted afresh for every piece.
+    """
+    lo = np.searchsorted(nodes, s_rows.min(), side="right")
+    hi = np.searchsorted(nodes, s_rows.max(), side="right")
+    width = max(1, _PIECE // s_rows.size)
+    for r0, r1 in ((0, lo), (lo, hi), (hi, nodes.size)):
+        for c0 in range(r0, r1, width):
+            c1 = min(c0 + width, r1)
+            yield c0, c1, kernel_eval(
+                problem, s_rows[:, None], nodes[None, c0:c1], xvals[None, c0:c1], order
+            )
+
+
 def _weighted_kernel_sum(problem, grid, xvals, s_flat, order, weight_extra=None):
-    """sum_b W_b [extra_b] * kernel(s_a, node_b, xvals_b), chunked over a."""
+    """sum_b W_b [extra_b] * kernel(s_a, node_b, xvals_b), in blocks of _CHUNK points.
+
+    The points go through the blocks in ascending order, so that each block
+    needs both kernel branches only near the diagonal, except the last
+    ``size % _CHUNK``: they keep their given order and form the last block.
+    OpenBLAS sums the last (row count mod 4) rows of a GEMV call with other
+    kernels, so this gives every point the sum that one GEMV over all
+    points in the given order gives it, unless exactly one is left over.
+    """
+    size = s_flat.size
     w = grid.node_weights if weight_extra is None else grid.node_weights * weight_extra
-    out = np.empty(s_flat.size)
-    for a0 in range(0, s_flat.size, _CHUNK):
-        a1 = min(a0 + _CHUNK, s_flat.size)
-        block = kernel_eval(
-            problem, s_flat[a0:a1, None], grid.nodes[None, :], xvals[None, :], order
-        )
-        out[a0:a1] = block @ w
+    head = size - size % _CHUNK
+    perm = np.concatenate([np.argsort(s_flat[:head], kind="stable"), np.arange(head, size)])
+    out = np.empty(size)
+    buf = np.empty((min(_CHUNK, size), grid.node_count))
+    for a0 in range(0, size, _CHUNK):
+        idx = perm[a0 : a0 + _CHUNK]
+        rows = buf[: idx.size]
+        for c0, c1, piece in _kernel_pieces(problem, s_flat[idx], grid.nodes, xvals, order):
+            rows[:, c0:c1] = piece
+        out[idx] = rows @ w
     return out
 
 
@@ -78,7 +113,7 @@ def km_prime_apply(problem: UrysohnProblem, base: GridFunction, v: GridFunction,
 
     K_m'(base)v(s) = sum_b W_b * dk/du(s, node_b, base_b) * v_b.
     """
-    if base.grid is not v.grid and base.grid.node_count != v.grid.node_count:
+    if base.grid is not v.grid and not np.array_equal(base.grid.nodes, v.grid.nodes):
         raise ValueError("base and direction must live on the same grid")
     s_arr = _unit_points(s)
     out = _weighted_kernel_sum(
@@ -211,7 +246,11 @@ def solve_nystrom(
 
     def newton_step(x, res):
         # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b)
-        jac = kernel_eval(problem, grid.nodes[:, None], grid.nodes[None, :], x[None, :], 1)
+        jac = np.empty((n_nodes, n_nodes))
+        for a0 in range(0, n_nodes, _CHUNK):
+            a1 = min(a0 + _CHUNK, n_nodes)
+            for c0, c1, piece in _kernel_pieces(problem, grid.nodes[a0:a1], grid.nodes, x, 1):
+                jac[a0:a1, c0:c1] = piece
         jac *= -grid.node_weights[None, :]
         jac[np.diag_indices_from(jac)] += 1.0
         return np.linalg.solve(jac, -res)

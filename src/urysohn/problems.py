@@ -63,6 +63,14 @@ def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0):
     branches agree there for a valid problem, so the choice only matters
     for ill-formed inputs.
 
+    Each branch is evaluated only where it is used: when every t lies on
+    or below every s (max t <= min s, checked on the operands before
+    broadcasting) only the lower branch is called, when every t lies above
+    every s only the upper one, and otherwise both, on the whole broadcast
+    block.  The result has the broadcast shape of s, t and the branch
+    output either way.  The finiteness check covers the values returned,
+    that is, each branch only where it is used.
+
     Parameters
     ----------
     u_derivative_order : {0, 1}
@@ -77,7 +85,16 @@ def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0):
         lower, upper = problem.kappa_lower, problem.kappa_upper
     else:
         lower, upper = problem.kappa_lower_du, problem.kappa_upper_du
-    out = np.where(t <= s, lower(s, t, u), upper(s, t, u))
+    nonempty = s.size > 0 and t.size > 0
+    if nonempty and t.max() <= s.min():
+        out = np.asarray(lower(s, t, u))
+    elif nonempty and t.min() > s.max():
+        out = np.asarray(upper(s, t, u))
+    else:
+        out = np.where(t <= s, lower(s, t, u), upper(s, t, u))
+    shape = np.broadcast_shapes(s.shape, t.shape, out.shape)
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).copy()
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"kernel of {problem.name!r} returned non-finite values")
     return float(out) if out.ndim == 0 else out

@@ -144,3 +144,24 @@ def test_interior_extrapolated_orders_approach_four():
     orders = [o for o in lev10.order_ex[1:-1] if o is not None]
     assert len(orders) == 9
     assert all(3.5 < o < 4.3 for o in orders)
+
+
+def test_convergence_study_keeps_the_solver_error_type():
+    # x(s) - int_0^1 x(t) dt = 1 has no solution: the solver raises
+    # SingularOperatorError, and the ladder must not turn it into its base class.
+    from urysohn import SingularOperatorError, UrysohnProblem
+
+    shape = lambda *args: np.broadcast(*args).shape
+    pb = UrysohnProblem(
+        name="unit-kernel",
+        kappa_lower=lambda s, t, u: np.broadcast_to(u, shape(s, t, u)).copy(),
+        kappa_upper=lambda s, t, u: np.broadcast_to(u, shape(s, t, u)).copy(),
+        kappa_lower_du=lambda s, t, u: np.ones(shape(s, t, u)),
+        kappa_upper_du=lambda s, t, u: np.ones(shape(s, t, u)),
+        f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        exact=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+    )
+    with pytest.raises(SingularOperatorError, match="level n=4 failed: ") as exc:
+        convergence_study(pb, 1, [4, 8], p_rule="fixed:1", rho=2)
+    assert exc.value.residual_norms
+    assert exc.value.residual_norms == exc.value.__cause__.residual_norms

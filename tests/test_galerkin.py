@@ -212,3 +212,48 @@ def test_equation_without_solution_is_not_reported_solved():
 def test_iteration_cap_must_be_positive():
     with pytest.raises(ValueError, match="max_iter"):
         solve_discrete_galerkin(get_problem("rpk-aks"), 4, 1, max_iter=0)
+
+
+@pytest.mark.parametrize("n, r", [(6, 1), (2, 2)])
+def test_solve_matches_dense_reference_bit_for_bit(crossing_problem, n, r):
+    # The reference is the same Newton iteration with both kernel branches
+    # evaluated on the whole N x N block (N**2 <= 72**2 stays below the size
+    # at which OpenBLAS splits one GEMV across threads).
+    pb = crossing_problem
+    sol = solve_discrete_galerkin(pb, n, r)
+    grid = sol.grid
+    block = grid.p * grid.rule.npoints
+    basis = basis_matrix(grid, r)
+    w_block = grid.node_weights[:block]
+    wb = w_block[:, None] * basis
+    s, t = grid.nodes[:, None], grid.nodes[None, :]
+
+    def dense(lower, upper, z):
+        return np.where(t <= s, lower(s, t, z[None, :]), upper(s, t, z[None, :]))
+
+    c_f = (pb.f(grid.nodes).reshape(n, block) * w_block[None, :]) @ basis
+    coeffs, trace = c_f.copy(), []
+    while True:
+        z = (coeffs @ basis.T).ravel()
+        km = dense(pb.kappa_lower, pb.kappa_upper, z) @ grid.node_weights
+        res = coeffs - (km.reshape(n, block) * w_block[None, :]) @ basis - c_f
+        trace.append(float(np.max(np.abs(res))))
+        if trace[-1] <= 1e-12:
+            break
+        deriv = dense(pb.kappa_lower_du, pb.kappa_upper_du, z)
+        m_full = np.stack(
+            [
+                np.einsum(
+                    "ekb,bx->ekx",
+                    (wb.T @ deriv[j * block : (j + 1) * block]).reshape(r, n, block),
+                    wb,
+                )
+                for j in range(n)
+            ]
+        )
+        jac = -m_full.reshape(n * r, n * r)
+        jac[np.diag_indices_from(jac)] += 1.0
+        coeffs = coeffs + np.linalg.solve(jac, -res.ravel()).reshape(n, r)
+
+    assert list(sol.residual_norms) == trace
+    np.testing.assert_array_equal(sol.z_g.coeffs, coeffs)

@@ -188,3 +188,92 @@ def test_initial_guess_is_respected():
     np.testing.assert_allclose(
         seeded.node_values.values, default.node_values.values, atol=1e-9
     )
+
+
+def test_km_prime_apply_rejects_direction_on_another_grid():
+    # Both grids have 40 nodes, but not the same ones.
+    pb = get_problem("rpk-aks")
+    one_point = build_grid(40, 1, gauss_rule(1))
+    two_point = build_grid(20, 1, gauss_rule(2))
+    base = GridFunction(one_point, pb.exact(one_point.nodes))
+    direction = GridFunction(two_point, np.ones(two_point.node_count))
+    with pytest.raises(ValueError, match="same grid"):
+        km_prime_apply(pb, base, direction, 0.5)
+
+
+def dense_kernel(lower, upper, s, t, u):
+    """Both branches on the whole block, one picked per entry: the reference."""
+    return np.where(t <= s, lower(s, t, u), upper(s, t, u))
+
+
+def test_apply_km_matches_dense_reference_bit_for_bit(crossing_problem):
+    pb = crossing_problem
+    grid = builtin_grid(20)
+    rng = np.random.default_rng(5)
+    x = GridFunction(grid, 1.0 + 0.5 * np.cos(7.0 * grid.nodes))
+    v = GridFunction(grid, rng.normal(size=grid.node_count))
+    # unsorted, with the nodes themselves (ties t = s) and the partition points;
+    # 211 points x 40 nodes stays below the size at which OpenBLAS splits one
+    # GEMV across threads, so the reference sums each row the same way at any
+    # thread count
+    pts = np.concatenate([rng.random(150), grid.nodes, grid.partition_points])
+    rng.shuffle(pts)
+    s, t = pts[:, None], grid.nodes[None, :]
+    w = grid.node_weights
+
+    values = dense_kernel(pb.kappa_lower, pb.kappa_upper, s, t, x.values[None, :])
+    np.testing.assert_array_equal(apply_km(pb, x, pts), values @ w)
+    derivs = dense_kernel(pb.kappa_lower_du, pb.kappa_upper_du, s, t, x.values[None, :])
+    np.testing.assert_array_equal(km_prime_apply(pb, x, v, pts), derivs @ (w * v.values))
+
+
+def test_nystrom_jacobian_matches_dense_reference_bit_for_bit(crossing_problem, monkeypatch):
+    pb = crossing_problem
+    grid = builtin_grid(150)  # 300 nodes: three row blocks
+    matrices = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        matrices.append(a.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    solve_nystrom(pb, grid)
+    assert matrices
+
+    # the first Newton step linearises at the default start, f at the nodes
+    s, t = grid.nodes[:, None], grid.nodes[None, :]
+    x0 = pb.f(grid.nodes)[None, :]
+    ref = dense_kernel(pb.kappa_lower_du, pb.kappa_upper_du, s, t, x0)
+    ref *= -grid.node_weights[None, :]
+    ref[np.diag_indices_from(ref)] += 1.0
+    np.testing.assert_array_equal(matrices[0], ref)
+
+
+def test_km_evaluates_each_kernel_branch_only_on_its_own_side():
+    # Each branch counts the entries it is evaluated on.  Evaluating both
+    # branches everywhere costs 2 N**2; the row blocks may only add a band
+    # of about one block (128 rows) around the diagonal to N**2.
+    evaluated = {"lower": 0, "upper": 0}
+
+    def branch(side):
+        def kappa(s, t, u):
+            shape = np.broadcast(s, t, u).shape
+            evaluated[side] += int(np.prod(shape))
+            return np.sin(np.broadcast_to(u, shape) + s - t)
+
+        return kappa
+
+    pb = UrysohnProblem(
+        name="counting",
+        kappa_lower=branch("lower"),
+        kappa_upper=branch("upper"),
+        kappa_lower_du=branch("lower"),
+        kappa_upper_du=branch("upper"),
+        f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+    )
+    grid = builtin_grid(300)
+    n = grid.node_count
+    apply_km(pb, GridFunction(grid, np.ones(n)), grid.nodes)
+    total = evaluated["lower"] + evaluated["upper"]
+    assert n * n <= total <= n * n + n * 128

@@ -91,6 +91,14 @@ def test_kernel_ties_go_to_lower_branch():
     assert kernel_eval(pb, 0.5, 0.5, 0.0) == pytest.approx(1.0)
     assert kernel_eval(pb, 0.5, 0.6, 0.0) == pytest.approx(-1.0)
     assert kernel_eval(pb, 0.6, 0.5, 0.0) == pytest.approx(1.0)
+    # blocks that touch the diagonal only at their edge: t.max() == s.min()
+    # and t.min() == s.max()
+    s = np.array([[0.5], [0.6]])
+    np.testing.assert_array_equal(kernel_eval(pb, s, np.array([[0.4, 0.5]]), 0.0), 1.0)
+    s = np.array([[0.2], [0.5]])
+    np.testing.assert_array_equal(
+        kernel_eval(pb, s, np.array([[0.5, 0.6]]), 0.0), [[-1.0, -1.0], [1.0, -1.0]]
+    )
 
 
 def test_kernel_eval_rejects_nonfinite_results():
@@ -155,3 +163,27 @@ def test_register_rejects_duplicate_names():
     pb = get_problem("rpk-aks")
     with pytest.raises(ValueError):
         register_problem(pb)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [np.array([[0.1, 0.2]]), np.array([[0.8, 0.9]]), np.array([[0.2, 0.8]])],
+    ids=["all-lower", "all-upper", "both"],
+)
+def test_kernel_eval_returns_the_full_block_for_a_branch_that_ignores_s(t):
+    pb = UrysohnProblem(
+        name="identity-kernel",
+        kappa_lower=lambda s, t, u: u,
+        kappa_upper=lambda s, t, u: 2.0 * u,
+        kappa_lower_du=lambda s, t, u: np.ones_like(u),
+        kappa_upper_du=lambda s, t, u: 2.0 * np.ones_like(u),
+        f=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+    )
+    s = np.array([[0.3], [0.5], [0.7]])
+    u = np.array([[1.0, 3.0]])
+    for order in (0, 1):
+        out = kernel_eval(pb, s, t, u, order)
+        assert out.shape == (3, 2)
+        lower = u if order == 0 else np.ones_like(u)
+        want = np.where(t <= s, lower, 2.0 * lower)
+        np.testing.assert_array_equal(out, want)
