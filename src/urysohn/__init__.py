@@ -26,7 +26,6 @@ from .extrapolate import (
 )
 from .galerkin import (
     GalerkinSolution,
-    IteratedSolution,
     iterated_eval,
     minimal_rho,
     partition_point_errors,
@@ -78,7 +77,6 @@ __all__ = [
     "km_prime_apply",
     "solve_nystrom",
     "GalerkinSolution",
-    "IteratedSolution",
     "minimal_rho",
     "solve_discrete_galerkin",
     "iterated_eval",

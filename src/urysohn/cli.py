@@ -226,18 +226,15 @@ def _cmd_solve(args) -> int:
 def _cmd_converge(args) -> int:
     problem = get_problem(args.problem)
     ns = _parse_n_list(args.n)
-    try:
-        report = convergence_study(
-            problem,
-            args.r,
-            ns,
-            p_rule=args.p,
-            rho=args.rho,
-            tol=args.tol,
-            max_iter=args.max_iter,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    report = convergence_study(
+        problem,
+        args.r,
+        ns,
+        p_rule=args.p,
+        rho=args.rho,
+        tol=args.tol,
+        max_iter=args.max_iter,
+    )
     _emit(format_report(report, args.format), args.output)
     return EXIT_OK
 

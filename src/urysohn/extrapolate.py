@@ -178,7 +178,11 @@ def convergence_study(
         Gauss points per fine subinterval (default minimal for r).
     tol, max_iter : Newton control passed to the solver.
     """
-    ns = [int(n) for n in n_list]
+    ns = []
+    for n in n_list:
+        if int(n) != n:
+            raise ValueError(f"n_list entries must be integers, got {n!r}")
+        ns.append(int(n))
     if not ns:
         raise ValueError("n_list must not be empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):

@@ -15,6 +15,7 @@ subinterval so no (m*rho)**2 matrix is ever stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .quadrature import CompositeGrid, build_grid, gauss_rule, values_on
 
 __all__ = [
     "GalerkinSolution",
-    "IteratedSolution",
     "minimal_rho",
     "solve_discrete_galerkin",
     "iterated_eval",
@@ -59,22 +59,8 @@ class GalerkinSolution:
     final_residual_norm: float
     residual_norms: tuple
 
-    def iterated(self) -> "IteratedSolution":
-        return IteratedSolution(self)
-
-
-@dataclass(frozen=True)
-class IteratedSolution:
-    """The iterated solution z_S(s) = K_m(z_G)(s) + f(s), a callable.
-
-    Continuous across partition points by construction; re-projecting it
-    onto the piecewise space returns z_G's coefficients.
-    """
-
-    solution: GalerkinSolution
-
-    def __call__(self, s):
-        return iterated_eval(self.solution, s)
+    def iterated(self) -> partial:
+        return partial(iterated_eval, self)
 
 
 def _jacobian(problem, grid, zvals, wb, n, r):

@@ -74,65 +74,55 @@ def _kernel_pieces(problem, s_rows, nodes, xvals, order):
             )
 
 
-def _weighted_kernel_sum(problem, grid, xvals, s_flat, order, weight_extra=None):
-    """sum_b W_b [extra_b] * kernel(s_a, node_b, xvals_b), in blocks of _CHUNK points.
+def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None):
+    """sum_b W_b [extra_b] * kernel(s_a, node_b, xvals_b) at points s of any shape.
 
-    The points go through the blocks in ascending order, so that each block
-    needs both kernel branches only near the diagonal, except the last
-    ``size % _CHUNK``: they keep their given order and form the last block.
-    OpenBLAS sums the last (row count mod 4) rows of a GEMV call with other
-    kernels, so this gives every point the sum that one GEMV over all
-    points in the given order gives it, unless exactly one is left over.
+    The one path from points to K_m values: all points go through the blocks
+    of _CHUNK in ascending order, so that a block needs both kernel branches
+    only near the diagonal, and no value depends on the order of the points.
     """
-    size = s_flat.size
+    s = np.asarray(s, dtype=float)
+    flat = s.ravel()
     w = grid.node_weights if weight_extra is None else grid.node_weights * weight_extra
-    head = size - size % _CHUNK
-    perm = np.concatenate([np.argsort(s_flat[:head], kind="stable"), np.arange(head, size)])
-    out = np.empty(size)
-    buf = np.empty((min(_CHUNK, size), grid.node_count))
-    for a0 in range(0, size, _CHUNK):
+    perm = np.argsort(flat, kind="stable")
+    out = np.empty(flat.size)
+    buf = np.empty((min(_CHUNK, flat.size), grid.node_count))
+    for a0 in range(0, flat.size, _CHUNK):
         idx = perm[a0 : a0 + _CHUNK]
         rows = buf[: idx.size]
-        for c0, c1, piece in _kernel_pieces(problem, s_flat[idx], grid.nodes, xvals, order):
+        for c0, c1, piece in _kernel_pieces(problem, flat[idx], grid.nodes, xvals, order):
             rows[:, c0:c1] = piece
         out[idx] = rows @ w
-    return out
+    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
 def apply_km(problem: UrysohnProblem, x: GridFunction, s):
-    """Evaluate the discretised operator K_m(x) at points s in [0, 1]."""
-    s_arr = _unit_points(s)
-    out = _weighted_kernel_sum(
-        problem, x.grid, x.values, np.atleast_1d(s_arr).ravel(), order=0
-    )
-    return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
+    """Evaluate the discretised operator K_m(x) at points s in [0, 1].
+
+    ``s`` may have any shape and any order: a scalar gives a float, an array
+    an array of its shape, and no value depends on the order of the points.
+    """
+    return _weighted_kernel_sum(problem, x.grid, x.values, _unit_points(s), order=0)
 
 
 def km_prime_apply(problem: UrysohnProblem, base: GridFunction, v: GridFunction, s):
     """Evaluate the Frechet derivative action K_m'(base)[v] at points s.
 
-    K_m'(base)v(s) = sum_b W_b * dk/du(s, node_b, base_b) * v_b.
+    K_m'(base)v(s) = sum_b W_b * dk/du(s, node_b, base_b) * v_b, with s taken
+    as by :func:`apply_km`: any shape, any order, a float for a scalar.
     """
     if base.grid is not v.grid and not np.array_equal(base.grid.nodes, v.grid.nodes):
         raise ValueError("base and direction must live on the same grid")
-    s_arr = _unit_points(s)
-    out = _weighted_kernel_sum(
-        problem,
-        base.grid,
-        base.values,
-        np.atleast_1d(s_arr).ravel(),
-        order=1,
-        weight_extra=v.values,
+    return _weighted_kernel_sum(
+        problem, base.grid, base.values, _unit_points(s), order=1, weight_extra=v.values
     )
-    return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
 
 
 def _extension(problem: UrysohnProblem, x: GridFunction, s):
     """Natural extension f(s) + K_m(x)(s) at points s in [0, 1]."""
-    s_arr = np.asarray(s, dtype=float)
-    flat = np.atleast_1d(s_arr).ravel()
-    out = values_on(problem.f, flat) + apply_km(problem, x, flat)
-    return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
+    s = _unit_points(s)  # before f, which need not be defined outside [0, 1]
+    out = values_on(problem.f, s) + apply_km(problem, x, s)
+    return float(out) if s.ndim == 0 else out
 
 
 def _newton(x0, residual, newton_step, tol, max_iter, singular_message):

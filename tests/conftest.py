@@ -1,9 +1,11 @@
 """Shared problem fixtures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from urysohn import UrysohnProblem
+from urysohn import UrysohnProblem, get_problem
 
 
 @pytest.fixture()
@@ -18,4 +20,16 @@ def crossing_problem():
         kappa_lower_du=lambda s, t, u: 0.4 * (1.0 + s) * np.cos(u * (1.0 + s) - t),
         kappa_upper_du=lambda s, t, u: -0.6 * (1.0 + t) * (u - s) * np.exp(-((u - s) ** 2)),
         f=lambda s: np.exp(np.asarray(s, dtype=float)),
+    )
+
+
+@pytest.fixture()
+def sqrt_forcing_problem():
+    """rpk-aks with the forcing f(s) = sqrt(1 - s), which is not defined
+    (nan, with a RuntimeWarning) right of 1."""
+    return dataclasses.replace(
+        get_problem("rpk-aks"),
+        name="sqrt-forcing",
+        f=lambda s: np.sqrt(1.0 - np.asarray(s, dtype=float)),
+        exact=None,
     )

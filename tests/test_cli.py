@@ -234,3 +234,10 @@ def test_solve_layouts_without_exact_solution(capture, no_exact_problem):
     doc = json.loads(out)
     assert "eps_S" in doc and doc["eps_S"] is None
     assert len(doc["z_S"]) == 5
+
+
+def test_converge_reports_a_bad_ladder_on_the_common_error_path(capture):
+    code, out, err = capture(["converge", "--problem", "rpk-aks", "--n", "10,30"])
+    assert code == 1
+    assert out == ""
+    assert "urysohn: error:" in err and "double" in err

@@ -118,6 +118,11 @@ def test_convergence_study_validates_ladder():
         convergence_study(pb, 1, [10, 15])  # not doubling
     with pytest.raises(ValueError):
         convergence_study(pb, 1, [20, 10])  # not increasing
+    for ladder, named in (([2.5, 4.9], "2.5"), ([2, 4.5], "4.5")):
+        with pytest.raises(ValueError, match=named):
+            convergence_study(pb, 1, ladder)  # not integers
+    report = convergence_study(pb, 1, [2.0, np.int64(4)])
+    assert [level.n for level in report.levels] == [2, 4]
 
 
 def test_convergence_study_requires_exact_solution():

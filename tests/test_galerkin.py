@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from urysohn import (
+    DomainError,
     PrecisionError,
     SingularOperatorError,
     UrysohnProblem,
@@ -257,3 +258,26 @@ def test_solve_matches_dense_reference_bit_for_bit(crossing_problem, n, r):
 
     assert list(sol.residual_norms) == trace
     np.testing.assert_array_equal(sol.z_g.coeffs, coeffs)
+
+
+def test_iterated_solution_checks_the_domain_before_the_forcing(sqrt_forcing_problem):
+    sol = solve_discrete_galerkin(sqrt_forcing_problem, 4, 1)
+    for evaluate in (lambda s: iterated_eval(sol, s), sol.iterated()):
+        for s in (1.5, np.array([0.5, 1.5])):
+            with pytest.raises(DomainError):
+                evaluate(s)
+
+
+def test_iterated_solution_does_not_depend_on_the_order_of_the_points(crossing_problem):
+    sol = solve_discrete_galerkin(crossing_problem, 5, 1, p=4, rho=2)
+    # the 211 shuffled points of the apply_km reference test in test_nystrom.py
+    grid = build_grid(20, 1, gauss_rule(2))
+    rng = np.random.default_rng(5)
+    rng.normal(size=grid.node_count)
+    pts = np.concatenate([rng.random(150), grid.nodes, grid.partition_points])
+    rng.shuffle(pts)
+    order = np.argsort(pts, kind="stable")
+    expected = np.empty_like(pts)
+    expected[order] = iterated_eval(sol, pts[order])
+    np.testing.assert_array_equal(iterated_eval(sol, pts), expected)
+    np.testing.assert_array_equal(sol.iterated()(pts), expected)

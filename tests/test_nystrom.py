@@ -5,6 +5,7 @@ import pytest
 
 from urysohn import (
     ConvergenceError,
+    DomainError,
     GridFunction,
     SingularOperatorError,
     UrysohnProblem,
@@ -188,6 +189,29 @@ def test_initial_guess_is_respected():
     np.testing.assert_allclose(
         seeded.node_values.values, default.node_values.values, atol=1e-9
     )
+    # a callable start is evaluated at the nodes
+    called = solve_nystrom(pb, grid, initial=pb.exact)
+    assert called.residual_norms == seeded.residual_norms
+    np.testing.assert_array_equal(called.node_values.values, seeded.node_values.values)
+    with pytest.raises(ValueError, match="initial values shape"):
+        solve_nystrom(pb, grid, initial=np.ones(grid.node_count + 1))
+
+
+def test_grid_function_rejects_wrong_shape_and_non_finite_values():
+    grid = builtin_grid(5)
+    with pytest.raises(ValueError, match="node count"):
+        GridFunction(grid, np.ones(grid.node_count - 1))
+    values = np.ones(grid.node_count)
+    values[3] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction(grid, values)
+
+
+def test_natural_extension_checks_the_domain_before_the_forcing(sqrt_forcing_problem):
+    sol = solve_nystrom(sqrt_forcing_problem, builtin_grid(10))
+    for s in (1.5, np.array([0.5, 1.5]), -0.5):
+        with pytest.raises(DomainError):
+            sol(s)
 
 
 def test_km_prime_apply_rejects_direction_on_another_grid():
@@ -212,19 +236,30 @@ def test_apply_km_matches_dense_reference_bit_for_bit(crossing_problem):
     rng = np.random.default_rng(5)
     x = GridFunction(grid, 1.0 + 0.5 * np.cos(7.0 * grid.nodes))
     v = GridFunction(grid, rng.normal(size=grid.node_count))
-    # unsorted, with the nodes themselves (ties t = s) and the partition points;
+    # with the nodes themselves (ties t = s) and the partition points;
     # 211 points x 40 nodes stays below the size at which OpenBLAS splits one
     # GEMV across threads, so the reference sums each row the same way at any
     # thread count
     pts = np.concatenate([rng.random(150), grid.nodes, grid.partition_points])
     rng.shuffle(pts)
-    s, t = pts[:, None], grid.nodes[None, :]
+    order = np.argsort(pts, kind="stable")
+    ordered = pts[order]
+    s, t = ordered[:, None], grid.nodes[None, :]
     w = grid.node_weights
 
     values = dense_kernel(pb.kappa_lower, pb.kappa_upper, s, t, x.values[None, :])
-    np.testing.assert_array_equal(apply_km(pb, x, pts), values @ w)
+    km = apply_km(pb, x, ordered)
+    np.testing.assert_array_equal(km, values @ w)
     derivs = dense_kernel(pb.kappa_lower_du, pb.kappa_upper_du, s, t, x.values[None, :])
-    np.testing.assert_array_equal(km_prime_apply(pb, x, v, pts), derivs @ (w * v.values))
+    dkm = km_prime_apply(pb, x, v, ordered)
+    np.testing.assert_array_equal(dkm, derivs @ (w * v.values))
+
+    # the shuffled points get the values of the sorted ones, scattered back
+    expected = np.empty_like(km)
+    expected[order] = km
+    np.testing.assert_array_equal(apply_km(pb, x, pts), expected)
+    expected[order] = dkm
+    np.testing.assert_array_equal(km_prime_apply(pb, x, v, pts), expected)
 
 
 def test_nystrom_jacobian_matches_dense_reference_bit_for_bit(crossing_problem, monkeypatch):

@@ -187,3 +187,8 @@ def test_kernel_eval_returns_the_full_block_for_a_branch_that_ignores_s(t):
         lower = u if order == 0 else np.ones_like(u)
         want = np.where(t <= s, lower, 2.0 * lower)
         np.testing.assert_array_equal(out, want)
+
+
+def test_kernel_eval_rejects_derivative_orders_above_one():
+    with pytest.raises(ValueError, match="u_derivative_order"):
+        kernel_eval(get_problem("rpk-aks"), 0.5, 0.25, 1.0, u_derivative_order=2)

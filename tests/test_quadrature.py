@@ -1,5 +1,7 @@
 """Gauss-Legendre rules on [0, 1] and composite grids."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,10 @@ def test_values_on_accepts_scalar_valued_functions():
     grid = build_grid(2, 1, gauss_rule(2))
     vals = values_on(lambda t: 1.5, grid.nodes)
     np.testing.assert_allclose(vals, np.full(4, 1.5), atol=0)
+    # math.exp refuses an array, so it is called point by point
+    pts = grid.nodes.reshape(2, 2)
+    vals = values_on(math.exp, pts)
+    np.testing.assert_array_equal(vals, [[math.exp(t) for t in row] for row in pts])
 
 
 def test_values_on_reports_offending_node():
@@ -142,3 +148,8 @@ def test_values_on_reports_offending_node():
     with pytest.raises(EvaluationError) as exc:
         values_on(bad, grid.nodes)
     assert exc.value.node is not None and exc.value.node > 0.5
+
+
+def test_values_on_rejects_a_result_of_another_shape():
+    with pytest.raises(EvaluationError, match="shape"):
+        values_on(lambda t: np.ones(3), np.linspace(0.0, 1.0, 4))
