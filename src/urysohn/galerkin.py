@@ -106,7 +106,8 @@ def solve_discrete_galerkin(
         satisfying the precision guard 2*rho - 1 >= 3r.
     tol, max_iter :
         Newton control: sup norm of the coefficient residual
-        F(c) = c - <K_m(z_c), phi> - c_f, and the iteration cap.
+        F(c) = c - <K_m(z_c), phi> - c_f (finite, > 0), and the iteration
+        cap (a positive integer).
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")

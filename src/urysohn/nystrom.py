@@ -9,10 +9,17 @@ anywhere in [0, 1] come from the natural extension x(s) = f(s) + K_m(x)(s).
 The kernel is evaluated with the correct branch on each side of t = s via
 :func:`urysohn.problems.kernel_eval`, which is what limits the attainable
 accuracy to O(fine_h**2): the diagonal kink sits inside quadrature panels.
+
+Newton's method solves with the assembled Jacobian I - K_m'(x) by GMRES:
+for a Green's-function-type kernel that matrix is a compact perturbation
+of the identity, so the GMRES iteration count does not grow with the node
+count, and its worst case, a full Krylov space, costs O(N**3) like an LU.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +30,10 @@ from .quadrature import CompositeGrid, _unit_points, values_on
 
 __all__ = ["GridFunction", "apply_km", "km_prime_apply", "solve_nystrom", "NystromSolution"]
 
-_MAX_NODES = 5000
+_MAX_NODES = 5000  # bounds the assembled Jacobian, 8 * N**2 bytes
 _CHUNK = 128  # points per row block of K_m and of the Nystrom Jacobian
 _PIECE = 1 << 16  # kernel entries per kernel_eval call
+_GMRES_RTOL = 1e-13  # GMRES stops at least-squares residual <= this * ||b||_2
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,58 @@ def _extension(problem: UrysohnProblem, x: GridFunction, s):
     return float(out) if s.ndim == 0 else out
 
 
+def _gmres(a, b):
+    """Solve a @ x = b by unrestarted GMRES from x = 0.
+
+    Arnoldi builds the Krylov basis one row at a time, in an array grown on
+    demand, and orthogonalises each new vector by two classical Gram-Schmidt
+    passes; Givens rotations keep the Hessenberg matrix triangular and give
+    the least-squares residual at every step.  Stops once that residual is
+    <= _GMRES_RTOL * ||b||_2, or at Krylov dimension N, where the minimiser
+    is the exact solution.  A rotated diagonal entry of exactly 0 with the
+    residual unmet is the Krylov analogue of a zero pivot: LinAlgError.
+    """
+    n = b.size
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros(n)
+    target = _GMRES_RTOL * beta
+    basis = np.empty((min(16, n), n))  # one Krylov vector per row
+    tri = np.zeros((basis.shape[0], basis.shape[0]))  # the rotated Hessenberg matrix
+    rotations = []
+    g = [beta]  # beta * e_1, rotated: |g[k]| is the residual at dimension k
+    basis[0] = b / beta
+    k = 0
+    while True:
+        w = a @ basis[k]
+        h = np.zeros(k + 1)
+        for _ in range(2):
+            c = basis[: k + 1] @ w
+            w -= c @ basis[: k + 1]
+            h += c
+        w_norm = float(np.linalg.norm(w))
+        for i, (cs, sn) in enumerate(rotations):
+            h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - sn * h[i]
+        diag = float(np.hypot(h[k], w_norm))
+        if diag == 0.0:
+            raise np.linalg.LinAlgError("GMRES broke down: the Krylov matrix is singular")
+        cs, sn = h[k] / diag, w_norm / diag
+        rotations.append((cs, sn))
+        h[k] = diag
+        tri[: k + 1, k] = h
+        g.append(-sn * g[k])
+        g[k] *= cs
+        k += 1
+        if k == n or not abs(g[k]) > target:  # the negation also stops on nan
+            break
+        if k == basis.shape[0]:
+            grow = min(k, n - k)
+            basis = np.concatenate([basis, np.empty((grow, n))])
+            tri = np.pad(tri, (0, grow))
+        basis[k] = w / w_norm
+    return np.linalg.solve(tri[:k, :k], np.array(g[:k])) @ basis[:k]
+
+
 def _newton(x0, residual, newton_step, tol, max_iter, singular_message):
     """Newton's method on residual(x) = 0 from x0; returns (x, residual trace).
 
@@ -137,9 +197,14 @@ def _newton(x0, residual, newton_step, tol, max_iter, singular_message):
     the iterate exceeds ``tol``: then the small residual says nothing.  On
     an equation without a solution that is how a nearly singular Newton
     matrix shows, through an iterate grown to ~1/eps.
+
+    ``tol`` must be finite and > 0 and ``max_iter`` a positive integer;
+    both are checked before the first residual.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     x = x0
     trace = []
     for _ in range(max_iter):
@@ -195,18 +260,25 @@ def solve_nystrom(
     max_iter: int = 50,
     initial=None,
 ) -> NystromSolution:
-    """Solve the Nystrom equation by Newton's method with a dense Jacobian.
+    """Solve the Nystrom equation by Newton-GMRES on the assembled Jacobian.
+
+    Each Newton step assembles I - K_m'(x) at the nodes and solves with it
+    by GMRES, which for these kernels converges in a few iterations whatever
+    the node count; its worst case, a full Krylov space, is O(N**3) like a
+    dense LU.
 
     Parameters
     ----------
     problem : UrysohnProblem
     grid : CompositeGrid
-        Node count m*rho must not exceed 5000 (dense linear algebra).
+        Node count m*rho must not exceed 5000, which bounds the assembled
+        Jacobian's 8*N**2 bytes.
     tol : float
         Convergence threshold on the sup norm of the node residual
-        x - K_m(x) - f.
+        x - K_m(x) - f; finite and > 0.
     max_iter : int
-        Maximum number of Newton iterations (residual evaluations).
+        Maximum number of Newton iterations (residual evaluations); a
+        positive integer.
     initial : None, callable, or ndarray
         Starting values at the nodes; defaults to f.
 
@@ -216,10 +288,16 @@ def solve_nystrom(
         If the iteration does not reach ``tol`` (carries the residual trace).
     SingularOperatorError
         If I - K_m'(x) is numerically singular at some iterate.
+    ValueError
+        If ``tol`` or ``max_iter`` is out of range, before any kernel
+        evaluation.
     """
     n_nodes = grid.node_count
     if n_nodes > _MAX_NODES:
-        raise ValueError(f"grid has {n_nodes} nodes; dense solve capped at {_MAX_NODES}")
+        raise ValueError(
+            f"grid has {n_nodes} nodes; capped at {_MAX_NODES} to bound the assembled "
+            "Jacobian's 8*N**2 bytes"
+        )
 
     f_nodes = values_on(problem.f, grid.nodes)
     if initial is None:
@@ -243,7 +321,7 @@ def solve_nystrom(
                 jac[a0:a1, c0:c1] = piece
         jac *= -grid.node_weights[None, :]
         jac[np.diag_indices_from(jac)] += 1.0
-        return np.linalg.solve(jac, -res)
+        return _gmres(jac, -res)
 
     x, trace = _newton(
         x0,

@@ -208,10 +208,11 @@ def build_grid(n: int, p: int, rule: QuadratureRule) -> CompositeGrid:
 
 
 def _unit_points(t, what: str = "s") -> np.ndarray:
-    """``t`` as a float array; DomainError if any entry lies outside [0, 1]."""
+    """``t`` as a float array; DomainError if any entry is NaN or outside [0, 1]."""
     t = np.asarray(t, dtype=float)
-    if t.size and (np.min(t) < 0.0 or np.max(t) > 1.0):
-        bad = t[(t < 0.0) | (t > 1.0)].ravel()[0]
+    # min and max propagate NaN, and every comparison with NaN is False
+    if t.size and not (np.min(t) >= 0.0 and np.max(t) <= 1.0):
+        bad = t[~((t >= 0.0) & (t <= 1.0))].ravel()[0]
         raise DomainError(f"{what}={bad!r} outside [0, 1]")
     return t
 

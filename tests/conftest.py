@@ -33,3 +33,20 @@ def sqrt_forcing_problem():
         f=lambda s: np.sqrt(1.0 - np.asarray(s, dtype=float)),
         exact=None,
     )
+
+
+@pytest.fixture()
+def kernel_free_problem():
+    """rpk-aks with kernel branches that fail the test when they are called."""
+
+    def never(s, t, u):
+        raise AssertionError("the kernel was evaluated")
+
+    return dataclasses.replace(
+        get_problem("rpk-aks"),
+        name="kernel-free",
+        kappa_lower=never,
+        kappa_upper=never,
+        kappa_lower_du=never,
+        kappa_upper_du=never,
+    )

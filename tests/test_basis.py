@@ -52,6 +52,8 @@ def test_degree_and_domain_validation():
     with pytest.raises(DomainError):
         legendre(0, 1.5)
     with pytest.raises(DomainError):
+        legendre(0, np.nan)
+    with pytest.raises(DomainError):
         legendre(-1, 0.5)
 
 

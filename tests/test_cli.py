@@ -241,3 +241,13 @@ def test_converge_reports_a_bad_ladder_on_the_common_error_path(capture):
     assert code == 1
     assert out == ""
     assert "urysohn: error:" in err and "double" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "nan")])
+def test_converge_reports_a_bad_newton_tolerance_on_the_common_error_path(capture, flag, value):
+    code, out, err = capture(
+        ["converge", "--problem", "rpk-aks", "--n", "10,20", flag, value]
+    )
+    assert code == 1
+    assert out == ""
+    assert "urysohn: error:" in err and "tol" in err

@@ -215,6 +215,17 @@ def test_iteration_cap_must_be_positive():
         solve_discrete_galerkin(get_problem("rpk-aks"), 4, 1, max_iter=0)
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [({"tol": np.nan}, "tol"), ({"tol": -1.0}, "tol"), ({"max_iter": 2.5}, "max_iter")],
+)
+def test_newton_arguments_are_checked_before_any_kernel_evaluation(
+    kernel_free_problem, bad, match
+):
+    with pytest.raises(ValueError, match=match):
+        solve_discrete_galerkin(kernel_free_problem, 4, 1, **bad)
+
+
 @pytest.mark.parametrize("n, r", [(6, 1), (2, 2)])
 def test_solve_matches_dense_reference_bit_for_bit(crossing_problem, n, r):
     # The reference is the same Newton iteration with both kernel branches
@@ -263,7 +274,7 @@ def test_solve_matches_dense_reference_bit_for_bit(crossing_problem, n, r):
 def test_iterated_solution_checks_the_domain_before_the_forcing(sqrt_forcing_problem):
     sol = solve_discrete_galerkin(sqrt_forcing_problem, 4, 1)
     for evaluate in (lambda s: iterated_eval(sol, s), sol.iterated()):
-        for s in (1.5, np.array([0.5, 1.5])):
+        for s in (1.5, np.array([0.5, 1.5]), np.nan, np.array([0.5, np.nan])):
             with pytest.raises(DomainError):
                 evaluate(s)
 

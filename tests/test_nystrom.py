@@ -18,6 +18,7 @@ from urysohn import (
     residual_check,
     solve_nystrom,
 )
+from urysohn import nystrom
 
 
 def builtin_grid(m, rho=2):
@@ -167,6 +168,24 @@ def test_iteration_cap_must_be_positive():
         solve_nystrom(get_problem("rpk-aks"), builtin_grid(4), max_iter=0)
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"tol": np.nan}, "tol"),
+        ({"tol": -1.0}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": np.inf}, "tol"),
+        ({"max_iter": 2.5}, "max_iter"),
+        ({"max_iter": -3}, "max_iter"),
+    ],
+)
+def test_newton_arguments_are_checked_before_any_kernel_evaluation(
+    kernel_free_problem, bad, match
+):
+    with pytest.raises(ValueError, match=match):
+        solve_nystrom(kernel_free_problem, builtin_grid(4), **bad)
+
+
 def test_grid_size_cap_is_enforced():
     pb = get_problem("rpk-aks")
     with pytest.raises(ValueError):
@@ -178,6 +197,15 @@ def test_solution_evaluation_validates_domain():
     sol = solve_nystrom(pb, builtin_grid(20))
     with pytest.raises(ValueError):
         sol(np.array([0.5, 1.2]))
+    v = GridFunction(sol.grid, np.ones(sol.grid.node_count))
+    for s in (np.nan, np.array([0.5, np.nan])):
+        for evaluate in (
+            sol,
+            lambda s: apply_km(pb, sol.node_values, s),
+            lambda s: km_prime_apply(pb, sol.node_values, v, s),
+        ):
+            with pytest.raises(DomainError, match="nan"):
+                evaluate(s)
 
 
 def test_initial_guess_is_respected():
@@ -209,7 +237,7 @@ def test_grid_function_rejects_wrong_shape_and_non_finite_values():
 
 def test_natural_extension_checks_the_domain_before_the_forcing(sqrt_forcing_problem):
     sol = solve_nystrom(sqrt_forcing_problem, builtin_grid(10))
-    for s in (1.5, np.array([0.5, 1.5]), -0.5):
+    for s in (1.5, np.array([0.5, 1.5]), -0.5, np.nan):
         with pytest.raises(DomainError):
             sol(s)
 
@@ -266,13 +294,13 @@ def test_nystrom_jacobian_matches_dense_reference_bit_for_bit(crossing_problem, 
     pb = crossing_problem
     grid = builtin_grid(150)  # 300 nodes: three row blocks
     matrices = []
-    solve = np.linalg.solve
+    gmres = nystrom._gmres
 
     def spy(a, b):
         matrices.append(a.copy())
-        return solve(a, b)
+        return gmres(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(nystrom, "_gmres", spy)
     solve_nystrom(pb, grid)
     assert matrices
 
@@ -312,3 +340,63 @@ def test_km_evaluates_each_kernel_branch_only_on_its_own_side():
     apply_km(pb, GridFunction(grid, np.ones(n)), grid.nodes)
     total = evaluated["lower"] + evaluated["upper"]
     assert n * n <= total <= n * n + n * 128
+
+
+def test_gmres_agrees_with_a_dense_solve():
+    rng = np.random.default_rng(11)
+    n = 60
+    well = np.eye(n) + 0.5 * rng.normal(size=(n, n)) / np.sqrt(n)
+    # all eigenvalues 2 but far from normal: GMRES needs many iterations
+    non_normal = 2.0 * np.eye(n) + np.triu(rng.normal(size=(n, n)), 1)
+    b = rng.normal(size=n)
+    for a in (well, non_normal):
+        x = nystrom._gmres(a, b)
+        ref = np.linalg.solve(a, b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_gmres_returns_the_exact_solution_at_the_full_krylov_dimension(monkeypatch):
+    sizes = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        sizes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    # The cyclic shift maps e_k to e_(k+1): the residual for b = e_1 stays
+    # |b| until Krylov dimension 50, where the minimiser is the solution e_50.
+    shift = np.roll(np.eye(50), 1, axis=0)
+    b = np.zeros(50)
+    b[0] = 1.0
+    np.testing.assert_array_equal(nystrom._gmres(shift, b), np.eye(50)[-1])
+    # diag(1..50): 50 distinct eigenvalues; the residual reaches rtol * |b|
+    # only a few dimensions short of 50
+    d = np.arange(1.0, 51.0)
+    x = nystrom._gmres(np.diag(d), np.ones(50))
+    np.testing.assert_allclose(x, 1.0 / d, rtol=1e-12, atol=0)
+    assert sizes[0] == (50, 50) and sizes[1][0] >= 45
+
+
+def test_gmres_returns_zeros_for_a_zero_right_hand_side():
+    x = nystrom._gmres(np.eye(5) + 1.0, np.zeros(5))
+    np.testing.assert_array_equal(x, np.zeros(5))
+
+
+def test_gmres_raises_on_a_singular_matrix_with_b_outside_its_range():
+    # I - ones/4 maps ones to 0 and has range ones-perp; b = ones is not in it
+    a = np.eye(4) - 0.25
+    with pytest.raises(np.linalg.LinAlgError):
+        nystrom._gmres(a, np.ones(4))
+
+
+@pytest.mark.parametrize("problem, m", [("rpk-aks", 400), ("crossing", 150)])
+def test_nystrom_gmres_matches_a_dense_lu_solve(crossing_problem, monkeypatch, problem, m):
+    pb = crossing_problem if problem == "crossing" else get_problem(problem)
+    grid = builtin_grid(m)
+    sol = solve_nystrom(pb, grid)
+    monkeypatch.setattr(nystrom, "_gmres", np.linalg.solve)  # the dense LU reference
+    ref = solve_nystrom(pb, grid)
+    assert sol.newton_iterations == ref.newton_iterations
+    x, x_ref = sol.node_values.values, ref.node_values.values
+    assert np.max(np.abs(x - x_ref) / np.abs(x_ref)) <= 1e-14

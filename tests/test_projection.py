@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from urysohn import (
+    DomainError,
     PiecewiseLegendre,
     PrecisionError,
     build_grid,
@@ -170,3 +171,5 @@ def test_evaluate_piecewise_rejects_outside_domain():
     pl = PiecewiseLegendre(2, 1, np.zeros((2, 1)))
     with pytest.raises(ValueError):
         evaluate_piecewise(pl, 1.0001)
+    with pytest.raises(DomainError):
+        evaluate_piecewise(pl, np.array([0.5, np.nan]))
