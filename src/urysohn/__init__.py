@@ -27,7 +27,6 @@ from .extrapolate import (
 from .galerkin import (
     GalerkinSolution,
     iterated_eval,
-    minimal_rho,
     partition_point_errors,
     solve_discrete_galerkin,
 )
@@ -42,7 +41,9 @@ from .problems import (
     residual_check,
     sinh_greens_branches,
 )
-from .projection import PiecewiseLegendre, discrete_inner_product, evaluate_piecewise, project
+from .projection import (
+    PiecewiseLegendre, discrete_inner_product, evaluate_piecewise, minimal_rho, project
+)
 from .quadrature import CompositeGrid, QuadratureRule, build_grid, gauss_rule, integrate_composite
 
 __version__ = "0.1.0"

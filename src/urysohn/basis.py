@@ -17,7 +17,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import _unit_points, gauss_rule
+from .quadrature import _count, _unit_points, gauss_rule
 
 __all__ = [
     "legendre",
@@ -35,7 +35,7 @@ _MAX_BERNOULLI = 10
 
 def legendre_table(r: int, t) -> np.ndarray:
     """Stack L_0(t), ..., L_{r-1}(t) into an array of shape (r,) + t.shape."""
-    if not 1 <= r <= _MAX_ETA + 1:
+    if _count(r, "r") > _MAX_ETA + 1:
         raise DomainError(f"r must be in [1, {_MAX_ETA + 1}], got {r}")
     t = _unit_points(t, "t")
     u = 2.0 * t - 1.0
@@ -96,7 +96,8 @@ def j_k(r: int, k: int, tau):
     tau : float or ndarray
         Points in [0, 1].
     """
-    if not 1 <= k <= 2 * r + 1:
+    r = _count(r, "r")
+    if _count(k, "k") > 2 * r + 1:
         raise DomainError(f"k must be in [1, {2 * r + 1}] for r={r}, got {k}")
     tau_arr = _unit_points(tau, "tau")
     flat = np.atleast_1d(tau_arr).ravel()
@@ -147,9 +148,8 @@ def bbar(r: int, p_index: int) -> float:
     for 1 <= p_index <= 2r.  Evaluated by a tensor Gauss rule that is
     exact for the (polynomial) integrand.
     """
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
-    if not 1 <= p_index <= 2 * r:
+    r = _count(r, "r")
+    if _count(p_index, "p_index") > 2 * r:
         raise DomainError(f"p_index must be in [1, {2 * r}] for r={r}, got {p_index}")
     if 2 * r - p_index > _MAX_BERNOULLI:
         raise DomainError(f"bbar needs Bernoulli index {2 * r - p_index} > {_MAX_BERNOULLI}")
@@ -173,8 +173,7 @@ def j_square_integral(r: int) -> float:
     This constant multiplies the quadrature-induced part of the
     superconvergence error coefficient.
     """
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
+    r = _count(r, "r")
     rho = min(20, 2 * r + 1)
     rule = gauss_rule(rho)
     jr = j_k(r, r, rule.nodes)

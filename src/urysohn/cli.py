@@ -17,8 +17,9 @@ import numpy as np
 from .basis import bbar, bernoulli, j_k, j_square_integral
 from .errors import ConvergenceError, UnknownProblemError
 from .extrapolate import ConvergenceReport, convergence_study, refinement_for
-from .galerkin import iterated_eval, minimal_rho, solve_discrete_galerkin
+from .galerkin import iterated_eval, solve_discrete_galerkin
 from .problems import available_problems, get_problem
+from .projection import minimal_rho
 from .quadrature import values_on
 
 __all__ = ["run", "main", "format_report"]
@@ -241,8 +242,6 @@ def _cmd_converge(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     r = args.r
-    if r < 1:
-        raise _UsageError(f"--r must be >= 1, got {r}")
     full = lambda x: "%.16e" % x  # constants deserve full double precision
     taus = [0.0, 0.25, 0.5, 0.75, 1.0]
     lines = [f"r = {r}", f"minimal rho = {minimal_rho(r)}", ""]

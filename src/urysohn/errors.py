@@ -14,7 +14,8 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """An abscissa lies outside the interval the object is defined on."""
+    """An abscissa outside [0, 1], or a count (n, p, r, rho, max_iter, ...)
+    that is not a positive integer or exceeds its cap."""
 
 
 class EvaluationError(ValueError):

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConvergenceError, GridMismatchError
 from .galerkin import iterated_eval, solve_discrete_galerkin
 from .problems import UrysohnProblem
-from .quadrature import values_on
+from .quadrature import _count, values_on
 
 __all__ = [
     "PointValues",
@@ -63,6 +63,7 @@ def richardson(coarse: PointValues, fine: PointValues, r: int) -> PointValues:
     points; the fine values are restricted to the even-indexed points,
     which must coincide with the coarse ones.
     """
+    r = _count(r, "r")
     if fine.points.size != 2 * coarse.points.size - 1:
         raise GridMismatchError(
             f"fine grid has {fine.points.size} points, expected "
@@ -100,9 +101,7 @@ def refinement_for(n: int, r: int, p_rule) -> int:
             p = int(p_rule.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad refinement rule {p_rule!r}") from None
-        if p < 1:
-            raise ValueError(f"refinement p must be >= 1, got {p}")
-        return p
+        return _count(p, "refinement p")
     raise ValueError(f"unknown refinement rule {p_rule!r} (use 'pow' or 'fixed:<p>')")
 
 

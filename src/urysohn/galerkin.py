@@ -19,26 +19,19 @@ from functools import partial
 
 import numpy as np
 
-from .errors import PrecisionError
 from .nystrom import GridFunction, _extension, _kernel_pieces, _newton, _weighted_kernel_sum
 from .problems import UrysohnProblem
-from .projection import PiecewiseLegendre, basis_matrix
-from .quadrature import CompositeGrid, build_grid, gauss_rule, values_on
+from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
+from .quadrature import CompositeGrid, _count, build_grid, gauss_rule, values_on
 
 __all__ = [
     "GalerkinSolution",
-    "minimal_rho",
     "solve_discrete_galerkin",
     "iterated_eval",
     "partition_point_errors",
 ]
 
 _MAX_COEFFS = 2000
-
-
-def minimal_rho(r: int) -> int:
-    """Smallest rho whose Gauss rule is exact to degree 3r (2*rho-1 >= 3r)."""
-    return (3 * r + 2) // 2
 
 
 @dataclass(frozen=True)
@@ -94,9 +87,9 @@ def solve_discrete_galerkin(
     ----------
     problem : UrysohnProblem
     n : int
-        Coarse subinterval count.
+        Coarse subinterval count, a positive integer.
     r : int
-        Local polynomial order (degree < r); n*r <= 2000.
+        Local polynomial order (degree < r), a positive integer; n*r <= 2000.
     p : int, optional
         Fine subintervals per coarse one.  Default n**r, which makes
         fine_h**2 = h**(2r+2) -- small enough for both the h**(2r)
@@ -109,34 +102,25 @@ def solve_discrete_galerkin(
         F(c) = c - <K_m(z_c), phi> - c_f (finite, > 0), and the iteration
         cap (a positive integer).
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    n = _count(n, "n")
+    rule = gauss_rule(minimal_rho(r) if rho is None else rho)
+    r = _check_order(r, rule.npoints)
     if p is None:
         p = n**r
-    if rho is None:
-        rho = minimal_rho(r)
-    if 2 * rho - 1 < 3 * r:
-        raise PrecisionError(
-            f"rho={rho} gives quadrature degree {2 * rho - 1} < 3r = {3 * r}"
-        )
     if n * r > _MAX_COEFFS:
         raise ValueError(f"n*r = {n * r} exceeds coefficient cap {_MAX_COEFFS}")
 
-    grid = build_grid(n, p, gauss_rule(rho))
-    block = p * rho
+    grid = build_grid(n, p, rule)
     basis = basis_matrix(grid, r)  # (block, r), identical on every subinterval
-    w_block = grid.node_weights[:block]
-    wb = w_block[:, None] * basis
-
-    f_nodes = values_on(problem.f, grid.nodes)
-    c_f = (f_nodes.reshape(n, block) * w_block[None, :]) @ basis
+    wb = grid.node_weights[: basis.shape[0], None] * basis
+    c_f = _coefficients(values_on(problem.f, grid.nodes), grid, basis)
 
     def node_values(coeffs):
         return (coeffs @ basis.T).ravel()
 
     def residual(coeffs):
         km_vals = _weighted_kernel_sum(problem, grid, node_values(coeffs), grid.nodes, order=0)
-        return coeffs - (km_vals.reshape(n, block) * w_block[None, :]) @ basis - c_f
+        return coeffs - _coefficients(km_vals, grid, basis) - c_f
 
     def newton_step(coeffs, res):
         jac = _jacobian(problem, grid, node_values(coeffs), wb, n, r)

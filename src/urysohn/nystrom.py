@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError, SingularOperatorError
 from .problems import UrysohnProblem, kernel_eval
-from .quadrature import CompositeGrid, _unit_points, values_on
+from .quadrature import CompositeGrid, _count, _unit_points, values_on
 
 __all__ = ["GridFunction", "apply_km", "km_prime_apply", "solve_nystrom", "NystromSolution"]
 
@@ -203,8 +203,7 @@ def _newton(x0, residual, newton_step, tol, max_iter, singular_message):
     """
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+    max_iter = _count(max_iter, "max_iter")
     x = x0
     trace = []
     for _ in range(max_iter):
@@ -280,7 +279,7 @@ def solve_nystrom(
         Maximum number of Newton iterations (residual evaluations); a
         positive integer.
     initial : None, callable, or ndarray
-        Starting values at the nodes; defaults to f.
+        Starting values at the nodes, finite; defaults to f.
 
     Raises
     ------
@@ -289,8 +288,8 @@ def solve_nystrom(
     SingularOperatorError
         If I - K_m'(x) is numerically singular at some iterate.
     ValueError
-        If ``tol`` or ``max_iter`` is out of range, before any kernel
-        evaluation.
+        If ``tol``, ``max_iter`` or ``initial`` is out of range, before any
+        kernel evaluation.
     """
     n_nodes = grid.node_count
     if n_nodes > _MAX_NODES:
@@ -308,6 +307,8 @@ def solve_nystrom(
         x0 = np.asarray(initial, dtype=float).copy()
         if x0.shape != (n_nodes,):
             raise ValueError(f"initial values shape {x0.shape}, expected ({n_nodes},)")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("initial values must be finite")
 
     def residual(x):
         return x - _weighted_kernel_sum(problem, grid, x, grid.nodes, order=0) - f_nodes

@@ -17,12 +17,13 @@ import numpy as np
 
 from .basis import legendre_table
 from .errors import PrecisionError
-from .quadrature import CompositeGrid, _unit_points, values_on
+from .quadrature import CompositeGrid, _count, _unit_points, values_on
 
 __all__ = [
     "PiecewiseLegendre",
     "basis_matrix",
     "discrete_inner_product",
+    "minimal_rho",
     "project",
     "evaluate_piecewise",
 ]
@@ -43,8 +44,8 @@ class PiecewiseLegendre:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or self.r < 1:
-            raise ValueError(f"need n >= 1 and r >= 1, got n={self.n}, r={self.r}")
+        object.__setattr__(self, "n", _count(self.n, "n"))
+        object.__setattr__(self, "r", _count(self.r, "r"))
         c = np.asarray(self.coeffs, dtype=float)
         if c.shape != (self.n, self.r):
             raise ValueError(
@@ -64,6 +65,21 @@ class PiecewiseLegendre:
         return 1.0 / self.n
 
 
+def minimal_rho(r: int) -> int:
+    """Smallest rho whose Gauss rule is exact to degree 3r (2*rho-1 >= 3r)."""
+    return (3 * _count(r, "r") + 2) // 2
+
+
+def _check_order(r, rho: int) -> int:
+    """``r`` as an int; PrecisionError unless the rho-point rule is exact to degree 3r."""
+    r = _count(r, "r")
+    if 2 * rho - 1 < 3 * r:
+        raise PrecisionError(
+            f"basic rule with rho={rho} is exact to degree {2 * rho - 1} < 3r = {3 * r}"
+        )
+    return r
+
+
 def basis_matrix(grid: CompositeGrid, r: int) -> np.ndarray:
     """Local basis values phi_{j,eta} at the grid offsets, shape (p*rho, r).
 
@@ -71,6 +87,12 @@ def basis_matrix(grid: CompositeGrid, r: int) -> np.ndarray:
     offsets repeat, so callers index it with the local node position only.
     """
     return np.sqrt(grid.n) * legendre_table(r, grid.offsets).T
+
+
+def _coefficients(values, grid: CompositeGrid, basis) -> np.ndarray:
+    """Inner products <v, phi_{j,eta}> of node values v, shape (n, r): the P_n formula."""
+    block = grid.p * grid.rule.npoints
+    return (values.reshape(grid.n, block) * grid.node_weights[:block]) @ basis
 
 
 def discrete_inner_product(x, y, j: int, grid: CompositeGrid) -> float:
@@ -100,17 +122,8 @@ def project(x, grid: CompositeGrid, r: int) -> PiecewiseLegendre:
     basis functions are integrated exactly and the projection is truly
     orthogonal (and idempotent).
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    rho = grid.rule.npoints
-    if 2 * rho - 1 < 3 * r:
-        raise PrecisionError(
-            f"basic rule with rho={rho} is exact to degree {2 * rho - 1} < 3r = {3 * r}"
-        )
-    block = grid.p * rho
-    xv = values_on(x, grid.nodes).reshape(grid.n, block)
-    w_block = grid.node_weights[:block]
-    coeffs = (xv * w_block[None, :]) @ basis_matrix(grid, r)
+    r = _check_order(r, grid.rule.npoints)
+    coeffs = _coefficients(values_on(x, grid.nodes), grid, basis_matrix(grid, r))
     return PiecewiseLegendre(n=grid.n, r=r, coeffs=coeffs)
 
 

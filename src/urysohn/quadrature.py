@@ -10,6 +10,7 @@ roots -- no tabulated values.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,9 +81,8 @@ def gauss_rule(rho: int) -> QuadratureRule:
     -------
     QuadratureRule
     """
-    if not isinstance(rho, (int, np.integer)) or isinstance(rho, bool):
-        raise DomainError(f"rho must be an integer, got {rho!r}")
-    if not 1 <= rho <= _MAX_RHO:
+    rho = _count(rho, "rho")
+    if rho > _MAX_RHO:
         raise DomainError(f"rho must be in [1, {_MAX_RHO}], got {rho}")
 
     i = np.arange(1, rho + 1, dtype=float)
@@ -178,12 +178,8 @@ def build_grid(n: int, p: int, rule: QuadratureRule) -> CompositeGrid:
     rule : QuadratureRule
         Basic rule used on each fine subinterval.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
-        raise DomainError(f"p must be a positive integer, got {p!r}")
-    n = int(n)
-    p = int(p)
+    n = _count(n, "n")
+    p = _count(p, "p")
     rho = rule.npoints
 
     nu = np.arange(p)[:, None]  # fine-piece index nu-1 = 0..p-1
@@ -205,6 +201,13 @@ def build_grid(n: int, p: int, rule: QuadratureRule) -> CompositeGrid:
         nodes=nodes,
         node_weights=node_weights,
     )
+
+
+def _count(value, what: str) -> int:
+    """``value`` as an int; DomainError unless it is an integer >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _unit_points(t, what: str = "s") -> np.ndarray:

@@ -223,6 +223,9 @@ def test_initial_guess_is_respected():
     np.testing.assert_array_equal(called.node_values.values, seeded.node_values.values)
     with pytest.raises(ValueError, match="initial values shape"):
         solve_nystrom(pb, grid, initial=np.ones(grid.node_count + 1))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="initial values must be finite"):
+            solve_nystrom(pb, grid, initial=np.full(grid.node_count, bad))
 
 
 def test_grid_function_rejects_wrong_shape_and_non_finite_values():

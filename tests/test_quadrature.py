@@ -8,10 +8,22 @@ import pytest
 from urysohn import (
     DomainError,
     EvaluationError,
+    PiecewiseLegendre,
+    PointValues,
+    bbar,
     build_grid,
     gauss_rule,
+    get_problem,
     integrate_composite,
+    j_k,
+    j_square_integral,
+    minimal_rho,
+    project,
+    richardson,
+    solve_discrete_galerkin,
+    solve_nystrom,
 )
+from urysohn.basis import legendre_table
 from urysohn.quadrature import values_on
 
 
@@ -153,3 +165,39 @@ def test_values_on_reports_offending_node():
 def test_values_on_rejects_a_result_of_another_shape():
     with pytest.raises(EvaluationError, match="shape"):
         values_on(lambda t: np.ones(3), np.linspace(0.0, 1.0, 4))
+
+
+RULE = gauss_rule(2)
+GRID = build_grid(2, 1, RULE)
+PROBLEM = get_problem("rpk-aks")
+COARSE, FINE = (PointValues(np.linspace(0, 1, k), np.zeros(k)) for k in (3, 5))
+
+# entry point -> (argument name, call with that argument set to v, a valid v)
+COUNTED = {
+    "gauss_rule": ("rho", lambda v: gauss_rule(v), 2),
+    "build_grid-n": ("n", lambda v: build_grid(v, 1, RULE), 2),
+    "build_grid-p": ("p", lambda v: build_grid(2, v, RULE), 2),
+    "PiecewiseLegendre-n": ("n", lambda v: PiecewiseLegendre(v, 1, np.zeros((1, 1))), 1),
+    "PiecewiseLegendre-r": ("r", lambda v: PiecewiseLegendre(1, v, np.zeros((1, 1))), 1),
+    "legendre_table": ("r", lambda v: legendre_table(v, 0.5), 2),
+    "j_k-r": ("r", lambda v: j_k(v, 1, 0.5), 2),
+    "j_k-k": ("k", lambda v: j_k(1, v, 0.5), 2),
+    "bbar-r": ("r", lambda v: bbar(v, 1), 2),
+    "bbar-p_index": ("p_index", lambda v: bbar(1, v), 2),
+    "j_square_integral": ("r", lambda v: j_square_integral(v), 2),
+    "minimal_rho": ("r", lambda v: minimal_rho(v), 2),
+    "project": ("r", lambda v: project(PROBLEM.f, GRID, v), 1),
+    "solve_discrete_galerkin-n": ("n", lambda v: solve_discrete_galerkin(PROBLEM, v, 1), 2),
+    "solve_discrete_galerkin-r": ("r", lambda v: solve_discrete_galerkin(PROBLEM, 2, v), 1),
+    "richardson": ("r", lambda v: richardson(COARSE, FINE, v), 1),
+    "solve_nystrom": ("max_iter", lambda v: solve_nystrom(PROBLEM, GRID, max_iter=v), 50),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2"])
+@pytest.mark.parametrize("entry", list(COUNTED))
+def test_every_count_is_checked_by_the_one_positive_integer_check(entry, bad):
+    what, call, good = COUNTED[entry]
+    with pytest.raises(DomainError, match=f"^{what} must be a positive integer, got "):
+        call(bad)
+    call(np.int64(good))
