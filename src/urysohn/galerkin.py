@@ -10,6 +10,15 @@ Newton's method runs in coefficient space (dimension n*r).  The Jacobian
 entry for basis functions phi_{j,eta} (row) and phi_{k,xi} (column) is
 delta - <K_m'(z) phi_{k,xi}, phi_{j,eta}>, assembled per coarse
 subinterval so no (m*rho)**2 matrix is ever stored.
+
+A Newton step costs 2*N**2 kernel evaluations on N = n*p*rho nodes, unless
+the problem declares ``factors`` (each branch a sum of ``rank`` products
+a(s) * beta(t, u)).  Then K_m at the sorted nodes is one inclusive prefix
+sum (t <= s, ties to the lower branch as in ``kernel_eval``) and one
+exclusive suffix sum, an off-diagonal Jacobian block is the product of two
+(r, rank) matrices, and a diagonal block comes from prefix sums within the
+block: O(N * r**2 * rank) + (n*r)**2 per step, plus the (n*r)**3 LU.  The
+iterated solution z_S is evaluated densely either way.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .nystrom import GridFunction, _extension, _kernel_pieces, _newton, _weighted_kernel_sum
-from .problems import UrysohnProblem
+from .problems import UrysohnProblem, _factor_eval
 from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
 from .quadrature import CompositeGrid, _count, build_grid, gauss_rule, values_on
 
@@ -56,17 +65,54 @@ class GalerkinSolution:
         return partial(iterated_eval, self)
 
 
+def _suffix(values, axis=0):
+    """Exclusive suffix sums along ``axis``: entry i sums the entries after i."""
+    inclusive = np.flip(np.cumsum(np.flip(values, axis), axis), axis)
+    out = np.zeros_like(values)
+    np.moveaxis(out, axis, 0)[:-1] = np.moveaxis(inclusive, axis, 0)[1:]
+    return out
+
+
+def _km_at_nodes(problem, grid, zvals):
+    """K_m(z) at the grid nodes: from the factors when the problem declares them."""
+    if problem.factors is None:
+        return _weighted_kernel_sum(problem, grid, zvals, grid.nodes, order=0)
+    (a, beta), (c, delta) = _factor_eval(problem, grid.nodes, zvals, 0)
+    w = grid.node_weights[:, None]
+    return np.sum(a * np.cumsum(w * beta, axis=0), axis=1) + np.sum(c * _suffix(w * delta), axis=1)
+
+
 def _jacobian(problem, grid, zvals, wb, n, r):
     """I - M where M[(j,eta),(k,xi)] = <K_m'(z) phi_{k,xi}, phi_{j,eta}>."""
     block = grid.p * grid.rule.npoints
-    m_full = np.empty((n, r, n, r))
-    inner = np.empty((r, grid.node_count))  # eta x global node b
-    for j in range(n):
-        rows = grid.nodes[j * block : (j + 1) * block]
-        # one branch on the earlier and the later coarse blocks, both within block j
-        for c0, c1, piece in _kernel_pieces(problem, rows, grid.nodes, zvals, 1):
-            inner[:, c0:c1] = wb.T @ piece
-        m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, block), wb)
+    if problem.factors is None:
+        m_full = np.empty((n, r, n, r))
+        inner = np.empty((r, grid.node_count))  # eta x global node b
+        for j in range(n):
+            rows = grid.nodes[j * block : (j + 1) * block]
+            # one branch on the earlier and the later coarse blocks, both within block j
+            for c0, c1, piece in _kernel_pieces(problem, rows, grid.nodes, zvals, 1):
+                inner[:, c0:c1] = wb.T @ piece
+            m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, block), wb)
+    else:
+        blocks = []
+        for s_part, t_part in _factor_eval(problem, grid.nodes, zvals, 1):
+            s_part = s_part.reshape(n, block, -1)  # [j, a, q]: a_q(t_a), t_a in block j
+            t_part = t_part.reshape(n, block, -1)  # [k, b, q]: beta_du_q(t_b, z_b), t_b in block k
+            # off the diagonal, M[j, :, k, :] = (wb.T @ s_part[j]) @ (wb.T @ t_part[k]).T
+            rows = np.einsum("ae,jaq->jeq", wb, s_part)
+            cols = np.einsum("bx,kbq->kxq", wb, t_part)
+            blocks.append((s_part, t_part, np.einsum("jeq,kxq->jekx", rows, cols)))
+        (a, beta, lower), (c, delta, upper) = blocks
+        j = np.arange(n)
+        m_full = np.where((j[:, None] > j[None, :])[:, None, :, None], lower, upper)
+        # within block j, the lower side sums b <= a and the upper side b > a
+        wb_a = wb[None, :, :, None]
+        m_full[j, :, j, :] = np.einsum(
+            "jaeq,jaxq->jex", wb_a * a[:, :, None, :], np.cumsum(wb_a * beta[:, :, None, :], axis=1)
+        ) + np.einsum(
+            "jaeq,jaxq->jex", wb_a * c[:, :, None, :], _suffix(wb_a * delta[:, :, None, :], 1)
+        )
     jac = -m_full.reshape(n * r, n * r)
     jac[np.diag_indices_from(jac)] += 1.0
     return jac
@@ -119,7 +165,7 @@ def solve_discrete_galerkin(
         return (coeffs @ basis.T).ravel()
 
     def residual(coeffs):
-        km_vals = _weighted_kernel_sum(problem, grid, node_values(coeffs), grid.nodes, order=0)
+        km_vals = _km_at_nodes(problem, grid, node_values(coeffs))
         return coeffs - _coefficients(km_vals, grid, basis) - c_f
 
     def newton_step(coeffs, res):

@@ -3,12 +3,16 @@
 A problem carries the kernel k as two smooth branches meeting at the
 diagonal t = s (Green's-function-type kernel), the analytic partial
 derivative dk/du needed by Newton's method, the right-hand side f, and
-optionally the exact solution for error studies.
+optionally the exact solution for error studies.  It may also declare each
+branch as a short sum of products a(s) * beta(t, u), the structure of a
+Green's kernel; the Galerkin solver then works with prefix sums instead of
+the N x N kernel entries.
 
 The built-in benchmark ``rpk-aks`` is the Hammerstein problem
 k(s,t,u) = G(s,t) * (gamma**2 * u - 2 * u**3) with G the Green's function
 of -w'' + gamma**2 w under Dirichlet conditions, gamma = sqrt(12), and f
-chosen so that the exact solution is phi(s) = 2/(2s + 1).
+chosen so that the exact solution is phi(s) = 2/(2s + 1).  It declares
+G's factors, so its Galerkin solve costs O(N) per Newton step.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, UnknownProblemError
-from .quadrature import build_grid, gauss_rule, values_on
+from .quadrature import _count, build_grid, gauss_rule, values_on
 
 __all__ = [
     "UrysohnProblem",
@@ -44,6 +48,20 @@ class UrysohnProblem:
 
     ``exact`` is the known solution (or None); ``description`` is a short
     human-readable summary for the registry listing.
+
+    ``factors`` (optional) declares the branches as sums of products,
+    ``((a, beta, beta_du), (c, delta, delta_du))`` with
+
+        kappa_lower(s, t, u) = sum_q a(s)[..., q] * beta(t, u)[..., q]   (t <= s),
+        kappa_upper(s, t, u) = sum_q c(s)[..., q] * delta(t, u)[..., q]  (t > s),
+
+    and ``beta_du``, ``delta_du`` the u-derivatives of ``beta``, ``delta``.
+    Each callable broadcasts and returns a trailing rank axis.  On
+    construction (``dataclasses.replace`` included) the factors must
+    reproduce all four branch callables on a small fixed sample of each
+    side, to 1e-12 of the largest finite branch value there; points where
+    a branch is not finite are not compared.  Otherwise ValueError names
+    the side and the order.
     """
 
     name: str
@@ -54,6 +72,66 @@ class UrysohnProblem:
     f: Callable
     exact: Callable | None = None
     description: str = ""
+    factors: tuple | None = None
+
+    def __post_init__(self):
+        if self.factors is not None:
+            _check_factors(self)
+
+
+# The fixed sample on which declared factors must reproduce the branches:
+# every (s, t) pair of _SAMPLE on the side of the diagonal, times each u.
+_SAMPLE = np.array([0.0, 0.15, 0.4, 0.5, 0.75, 1.0])
+_SAMPLE_U = np.array([-1.5, 0.5, 2.0])
+_FACTOR_RTOL = 1e-12
+
+
+def _side_products(side, s, t, u, order):
+    """One side's factors at the points (s, t, u), broadcast to a common (points, rank) shape."""
+    a, beta, beta_du = side
+    right = (beta, beta_du)[order](t, u)
+    return np.broadcast_arrays(np.asarray(a(s), dtype=float), np.asarray(right, dtype=float))
+
+
+def _check_factors(problem: UrysohnProblem) -> None:
+    """ValueError unless the factors reproduce the branches on the fixed sample."""
+    sides = problem.factors
+    if not (len(sides) == 2 and all(len(side) == 3 for side in sides)):
+        raise ValueError(
+            "factors must be ((a, beta, beta_du), (c, delta, delta_du)) for the lower "
+            "and the upper side"
+        )
+    s, t, u = (g.ravel() for g in np.meshgrid(_SAMPLE, _SAMPLE, _SAMPLE_U, indexing="ij"))
+    branches = (
+        ("lower", t <= s, problem.kappa_lower, problem.kappa_lower_du),
+        ("upper", t > s, problem.kappa_upper, problem.kappa_upper_du),
+    )
+    for side, (name, on_side, *branch) in zip(sides, branches):
+        args = (s[on_side], t[on_side], u[on_side])
+        for order, what in enumerate(("value", "du")):
+            want = np.broadcast_to(np.asarray(branch[order](*args), dtype=float), args[0].shape)
+            left, right = _side_products(side, *args, order)
+            got = np.sum(left * right, axis=-1)
+            finite = np.isfinite(want)
+            scale = float(np.max(np.abs(want[finite]), initial=0.0))
+            if not np.all(np.abs(got[finite] - want[finite]) <= _FACTOR_RTOL * scale):
+                raise ValueError(
+                    f"factors of {problem.name!r} do not reproduce the {name} branch "
+                    f"({what}) to {_FACTOR_RTOL:g} of its largest value on the sample"
+                )
+
+
+def _factor_eval(problem: UrysohnProblem, nodes, u, order: int):
+    """Both sides' factors at (s, t, u) = (nodes, nodes, u): [(a, beta), (c, delta)].
+
+    Each pair is broadcast to one (points, rank) shape; ``order`` 1 gives
+    the u-derivatives beta_du and delta_du.  Raises the EvaluationError of
+    :func:`kernel_eval` if any value is not finite.
+    """
+    pairs = [_side_products(side, nodes, nodes, u, order) for side in problem.factors]
+    if not all(np.all(np.isfinite(arr)) for pair in pairs for arr in pair):
+        raise EvaluationError(f"kernel of {problem.name!r} returned non-finite values")
+    return pairs
 
 
 def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0):
@@ -107,12 +185,12 @@ def residual_check(problem: UrysohnProblem, candidate, panels: int = 64) -> floa
     |candidate(s) - int_0^1 k(s, t, candidate(t)) dt - f(s)|,
     splitting the integral at t = s so that each branch of the kernel is
     integrated where it is smooth (composite 10-point Gauss with
-    ``panels`` panels on each side).
+    ``panels`` panels on each side, an integer >= 16).
 
     This is the independent consistency oracle: for the exact solution it
     must be at quadrature accuracy, no solver involved.
     """
-    if panels < 16:
+    if _count(panels, "panels") < 16:
         raise ValueError(f"panels must be >= 16, got {panels}")
     s = np.linspace(0.0, 1.0, 101)
     base = build_grid(panels, 1, gauss_rule(10))
@@ -150,6 +228,30 @@ def sinh_greens_branches(gamma: float):
     return lower, upper
 
 
+def _sinh_greens_factors(gamma: float):
+    """G of :func:`sinh_greens_branches` as (L, R, P, Q): L(s)R(t) for t <= s, P(s)Q(t) for t > s.
+
+    1/sinh(gamma) goes with the s factor, which stays in [0, 1], and
+    1/gamma with the t factor, so a sum over t overflows only where
+    sinh(gamma*t) itself does.
+    """
+    scale = np.sinh(gamma)
+
+    def lower_s(s):
+        return np.sinh(gamma * (1.0 - s)) / scale
+
+    def lower_t(t):
+        return np.sinh(gamma * t) / gamma
+
+    def upper_s(s):
+        return np.sinh(gamma * s) / scale
+
+    def upper_t(t):
+        return np.sinh(gamma * (1.0 - t)) / gamma
+
+    return lower_s, lower_t, upper_s, upper_t
+
+
 def hammerstein_problem(
     name: str,
     g_lower: Callable,
@@ -159,8 +261,27 @@ def hammerstein_problem(
     f: Callable,
     exact: Callable | None = None,
     description: str = "",
+    g_factors: tuple | None = None,
 ) -> UrysohnProblem:
-    """Assemble a problem with kernel k(s,t,u) = G(s,t) * psi(t,u)."""
+    """Assemble a problem with kernel k(s,t,u) = G(s,t) * psi(t,u).
+
+    ``g_factors`` (optional) is (L, R, P, Q) with G(s,t) = L(s) * R(t) for
+    t <= s and P(s) * Q(t) for t > s, each a scalar function; it becomes
+    the problem's ``factors`` (rank 1 on each side), checked against
+    ``g_lower`` and ``g_upper`` like any declared factors.
+    """
+
+    def side(g_s, g_t):
+        return (
+            lambda s: np.asarray(g_s(s))[..., None],
+            lambda t, u: np.asarray(g_t(t) * psi(t, u))[..., None],
+            lambda t, u: np.asarray(g_t(t) * psi_du(t, u))[..., None],
+        )
+
+    factors = None
+    if g_factors is not None:
+        l_s, r_t, p_s, q_t = g_factors
+        factors = (side(l_s, r_t), side(p_s, q_t))
     return UrysohnProblem(
         name=name,
         kappa_lower=lambda s, t, u: g_lower(s, t) * psi(t, u),
@@ -170,6 +291,7 @@ def hammerstein_problem(
         f=f,
         exact=exact,
         description=description,
+        factors=factors,
     )
 
 
@@ -205,6 +327,7 @@ def _build_rpk_aks() -> UrysohnProblem:
             "cubic Hammerstein benchmark: sinh Green's-function kernel, "
             "psi(t,u) = 12u - 2u^3, exact solution 2/(2s+1)"
         ),
+        g_factors=_sinh_greens_factors(gamma),
     )
 
 

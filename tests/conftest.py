@@ -37,7 +37,10 @@ def sqrt_forcing_problem():
 
 @pytest.fixture()
 def kernel_free_problem():
-    """rpk-aks with kernel branches that fail the test when they are called."""
+    """rpk-aks with kernel branches that fail the test when they are called.
+
+    It declares no factors, so it guards the dense path: with rpk-aks's
+    factors kept, construction would call the branches to check them."""
 
     def never(s, t, u):
         raise AssertionError("the kernel was evaluated")
@@ -49,4 +52,5 @@ def kernel_free_problem():
         kappa_upper=never,
         kappa_lower_du=never,
         kappa_upper_du=never,
+        factors=None,
     )

@@ -2,8 +2,9 @@
 
 Each runs in its own interpreter, so a demo that imports a name the package
 no longer exports (projection_basics.py takes ``minimal_rho`` from
-``urysohn``) fails here.  error_coefficient.py and galerkin_superconvergence.py
-take over 20 s each and are run by hand.
+``urysohn``) fails here.  error_coefficient.py, whose oracle solves its own
+dense resolvent equations, takes about 10 s on a 2-vCPU Xeon and is run by
+hand.
 """
 
 import os
@@ -18,7 +19,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "demo",
-    ["nystrom_solve.py", "projection_basics.py", "quadrature_and_grids.py", "richardson_ladder.py"],
+    [
+        "galerkin_superconvergence.py",
+        "nystrom_solve.py",
+        "projection_basics.py",
+        "quadrature_and_grids.py",
+        "richardson_ladder.py",
+    ],
 )
 def test_demo_runs_without_warnings(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -151,6 +151,16 @@ def test_interior_extrapolated_orders_approach_four():
     assert all(3.5 < o < 4.3 for o in orders)
 
 
+def test_fine_ladder_extrapolates_at_fourth_order_at_every_shared_point():
+    # N = 204 800 nodes at n = 320; rpk-aks's Green's-kernel factors make a
+    # Newton step O(N), so the ladder runs in about a second.
+    report = convergence_study(get_problem("rpk-aks"), 1, [40, 80, 160, 320])
+    for level in report.levels[:2]:
+        # the errors at t = 0 and t = 1 vanish (G does), so no order there
+        assert level.order_ex[0] is None and level.order_ex[-1] is None
+        np.testing.assert_allclose(level.order_ex[1:-1], 4.0, rtol=0, atol=0.05)
+
+
 def test_convergence_study_keeps_the_solver_error_type():
     # x(s) - int_0^1 x(t) dt = 1 has no solution: the solver raises
     # SingularOperatorError, and the ladder must not turn it into its base class.

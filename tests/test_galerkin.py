@@ -1,24 +1,36 @@
 """Discrete Galerkin solver and its iterated (superconvergent) variant."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from urysohn import (
     DomainError,
+    EvaluationError,
     PrecisionError,
     SingularOperatorError,
     UrysohnProblem,
     build_grid,
     gauss_rule,
     get_problem,
+    hammerstein_problem,
     iterated_eval,
     minimal_rho,
     partition_point_errors,
     project,
+    sinh_greens_branches,
     solve_discrete_galerkin,
 )
-from urysohn.galerkin import _jacobian
+from urysohn.galerkin import _jacobian, _km_at_nodes
+from urysohn.problems import _sinh_greens_factors
 from urysohn.projection import basis_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def zero_kernel_problem():
@@ -225,6 +237,30 @@ def test_newton_arguments_are_checked_before_any_kernel_evaluation(
 ):
     with pytest.raises(ValueError, match=match):
         solve_discrete_galerkin(kernel_free_problem, 4, 1, **bad)
+    # the factored path: rpk-aks with callables that record every call
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn)
+            return fn(*args)
+
+        return wrapper
+
+    pb = get_problem("rpk-aks")
+    factored = dataclasses.replace(
+        pb,
+        kappa_lower=counted(pb.kappa_lower),
+        kappa_upper=counted(pb.kappa_upper),
+        kappa_lower_du=counted(pb.kappa_lower_du),
+        kappa_upper_du=counted(pb.kappa_upper_du),
+        factors=tuple(tuple(map(counted, side)) for side in pb.factors),
+    )
+    assert calls  # the construction checked the factors against the branches
+    calls.clear()
+    with pytest.raises(ValueError, match=match):
+        solve_discrete_galerkin(factored, 4, 1, **bad)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n, r", [(6, 1), (2, 2)])
@@ -293,3 +329,126 @@ def test_iterated_solution_does_not_depend_on_the_order_of_the_points(crossing_p
     expected[order] = iterated_eval(sol, pts[order])
     np.testing.assert_array_equal(iterated_eval(sol, pts), expected)
     np.testing.assert_array_equal(sol.iterated()(pts), expected)
+
+
+def sinh_problem(gamma, psi=lambda t, u: t * u - u**3, psi_du=lambda t, u: t - 3.0 * u**2):
+    """G(s,t) * psi(t,u) with the sinh Green's function of gamma and its factors."""
+    return hammerstein_problem(
+        f"sinh-{gamma:g}",
+        *sinh_greens_branches(gamma),
+        psi,
+        psi_du,
+        f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        g_factors=_sinh_greens_factors(gamma),
+    )
+
+
+def rank_two_problem():
+    """k = G(s,t) * (u + s*u**2): a(s) = (L(s), s*L(s)) and beta(t,u) = (R(t)*u, R(t)*u**2)."""
+    g_lower, g_upper = sinh_greens_branches(np.sqrt(12.0))
+    l_s, r_t, p_s, q_t = _sinh_greens_factors(np.sqrt(12.0))
+
+    def side(g_s, g_t):
+        return (
+            lambda s: np.stack([g_s(s), s * g_s(s)], axis=-1),
+            lambda t, u: np.stack([g_t(t) * u, g_t(t) * u**2], axis=-1),
+            lambda t, u: np.stack([g_t(t) * np.ones_like(u), 2.0 * g_t(t) * u], axis=-1),
+        )
+
+    return UrysohnProblem(
+        name="rank-two",
+        kappa_lower=lambda s, t, u: g_lower(s, t) * (u + s * u**2),
+        kappa_upper=lambda s, t, u: g_upper(s, t) * (u + s * u**2),
+        kappa_lower_du=lambda s, t, u: g_lower(s, t) * (1.0 + 2.0 * s * u),
+        kappa_upper_du=lambda s, t, u: g_upper(s, t) * (1.0 + 2.0 * s * u),
+        f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        factors=(side(l_s, r_t), side(p_s, q_t)),
+    )
+
+
+def _factored_against_dense(pb, n, r):
+    """Solve with the factors and without; compare coefficients, z_S, Jacobians, iterations."""
+    dense = dataclasses.replace(pb, factors=None)
+    sol, ref = solve_discrete_galerkin(pb, n, r), solve_discrete_galerkin(dense, n, r)
+    assert sol.newton_iterations == ref.newton_iterations
+    np.testing.assert_allclose(sol.z_g.coeffs, ref.z_g.coeffs, rtol=0, atol=1e-14)
+    pts = sol.grid.partition_points
+    np.testing.assert_allclose(iterated_eval(sol, pts), iterated_eval(ref, pts), rtol=0, atol=1e-14)
+    grid = sol.grid
+    wb = grid.node_weights[: grid.offsets.size, None] * basis_matrix(grid, r)
+    z = sol.z_g_node_values.values
+    np.testing.assert_allclose(
+        _jacobian(pb, grid, z, wb, n, r), _jacobian(dense, grid, z, wb, n, r), rtol=0, atol=1e-15
+    )
+
+
+@pytest.mark.parametrize("n, r", [(10, 1), (20, 1), (40, 1), (3, 2), (6, 2), (12, 2)])
+def test_factored_solve_matches_the_dense_solve(n, r):
+    _factored_against_dense(get_problem("rpk-aks"), n, r)
+
+
+@pytest.mark.parametrize("n, r", [(6, 1), (3, 2)])
+def test_rank_two_factors_match_their_dense_twin(n, r):
+    _factored_against_dense(rank_two_problem(), n, r)
+
+
+@pytest.mark.parametrize("gamma", [np.sqrt(12.0), 40.0, 200.0, 700.0])
+def test_factored_km_matches_the_dense_km_at_the_nodes(gamma):
+    pb = sinh_problem(gamma)
+    grid = build_grid(20, 20, gauss_rule(2))
+    z = 1.0 + np.sin(5.0 * grid.nodes)
+    # near the diagonal the dense path also evaluates each branch on the other
+    # side, where the sinh product overflows for gamma = 700; np.where drops it
+    with np.errstate(over="ignore"):
+        dense = _km_at_nodes(dataclasses.replace(pb, factors=None), grid, z)
+    factored = _km_at_nodes(pb, grid, z)
+    assert np.max(np.abs(factored - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("case", ["gamma-720", "nan-above-3"])
+def test_nonfinite_factor_values_raise_the_kernel_error(case):
+    with np.errstate(over="ignore", invalid="ignore"):  # sinh(720) overflows
+        if case == "gamma-720":
+            pb = sinh_problem(720.0)
+        else:  # psi is NaN only for u > 3, off the sample the factors are checked on
+            pb = sinh_problem(
+                np.sqrt(12.0),
+                psi=lambda t, u: np.where(u > 3.0, np.nan, u),
+                psi_du=lambda t, u: np.where(u > 3.0, np.nan, 1.0),
+            )
+            pb = dataclasses.replace(pb, f=lambda s: np.full_like(np.asarray(s, dtype=float), 5.0))
+        for problem in (pb, dataclasses.replace(pb, factors=None)):
+            with pytest.raises(EvaluationError, match="non-finite"):
+                solve_discrete_galerkin(problem, 4, 1)
+
+
+_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from urysohn import get_problem, iterated_eval, solve_discrete_galerkin
+out = {}
+for n, r in ((40, 1), (80, 1), (12, 2)):
+    sol = solve_discrete_galerkin(get_problem("rpk-aks"), n, r)
+    out[f"coeffs-{n}-{r}"] = sol.z_g.coeffs
+    out[f"z_s-{n}-{r}"] = iterated_eval(sol, sol.grid.partition_points)
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_factored_solve_does_not_depend_on_the_blas_thread_count(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.npz"
+        subprocess.run(
+            [sys.executable, "-W", "error", "-c", _THREADS_SCRIPT, str(out)],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        with np.load(out) as data:
+            results.append({key: data[key] for key in data.files})
+    assert len(results[0]) == 6
+    for key, values in results[0].items():
+        assert np.array_equal(values, results[1][key]), key

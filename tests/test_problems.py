@@ -1,9 +1,12 @@
 """Problem definitions, kernel evaluation, and the residual oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from urysohn import (
+    DomainError,
     EvaluationError,
     UnknownProblemError,
     UrysohnProblem,
@@ -15,6 +18,7 @@ from urysohn import (
     residual_check,
     sinh_greens_branches,
 )
+from urysohn.problems import _sinh_greens_factors
 
 GAMMA = np.sqrt(12.0)
 
@@ -126,10 +130,19 @@ def test_residual_oracle_rejects_perturbed_candidate():
     assert residual_check(pb, wrong, panels=64) > 1e-3
 
 
-def test_residual_check_validates_panel_count():
+@pytest.mark.parametrize(
+    "panels, error, match",
+    [
+        (8, ValueError, "panels must be >= 16"),
+        (16.5, DomainError, "panels must be a positive integer"),
+        (True, DomainError, "panels must be a positive integer"),
+        (0, DomainError, "panels must be a positive integer"),
+    ],
+)
+def test_residual_check_validates_panel_count(panels, error, match):
     pb = get_problem("rpk-aks")
-    with pytest.raises(ValueError):
-        residual_check(pb, pb.exact, panels=8)
+    with pytest.raises(error, match=match):
+        residual_check(pb, pb.exact, panels=panels)
 
 
 def test_hammerstein_factory_and_registry_round_trip():
@@ -141,6 +154,7 @@ def test_hammerstein_factory_and_registry_round_trip():
         psi=lambda t, u: u,
         psi_du=lambda t, u: np.ones(np.broadcast(t, u).shape),
         f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        g_factors=_sinh_greens_factors(1.0),
     )
     register_problem(pb)
     try:
@@ -153,6 +167,10 @@ def test_hammerstein_factory_and_registry_round_trip():
         assert kernel_eval(pb, s, t, u, u_derivative_order=1) == pytest.approx(
             upper(s, t), rel=1e-14
         )
+        # the factors compose G's with psi: P(s) * Q(t) * u on the upper side
+        c, delta, delta_du = pb.factors[1]
+        assert c(s)[0] * delta(t, u)[0] == pytest.approx(upper(s, t) * u, rel=1e-14)
+        assert c(s)[0] * delta_du(t, u)[0] == pytest.approx(upper(s, t), rel=1e-14)
     finally:
         from urysohn.problems import _REGISTRY
 
@@ -192,3 +210,40 @@ def test_kernel_eval_returns_the_full_block_for_a_branch_that_ignores_s(t):
 def test_kernel_eval_rejects_derivative_orders_above_one():
     with pytest.raises(ValueError, match="u_derivative_order"):
         kernel_eval(get_problem("rpk-aks"), 0.5, 0.25, 1.0, u_derivative_order=2)
+
+
+
+def _rpk_aks_factors_of_gamma(gamma):
+    """rpk-aks's factors with the Green's function of another gamma."""
+    return hammerstein_problem(
+        "other-gamma",
+        *sinh_greens_branches(gamma),
+        lambda t, u: GAMMA**2 * u - 2.0 * u**3,
+        lambda t, u: GAMMA**2 - 6.0 * u * u,
+        lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        g_factors=_sinh_greens_factors(gamma),
+    ).factors
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        (lambda pb: {"factors": pb.factors[::-1]}, r"lower branch \(value\)"),
+        (lambda pb: {"factors": _rpk_aks_factors_of_gamma(4.0)}, r"lower branch \(value\)"),
+        (
+            lambda pb: {"kappa_lower": lambda s, t, u: 1.001 * pb.kappa_lower(s, t, u)},
+            r"lower branch \(value\)",
+        ),
+        (
+            lambda pb: {"kappa_upper_du": lambda s, t, u: 1.001 * pb.kappa_upper_du(s, t, u)},
+            r"upper branch \(du\)",
+        ),
+        (lambda pb: {"factors": pb.factors[:1]}, "factors must be"),
+    ],
+    ids=["sides-swapped", "other-gamma", "replaced-branch", "replaced-derivative", "one-side"],
+)
+def test_factors_that_do_not_reproduce_the_branches_are_rejected(change, match):
+    # dataclasses.replace runs the check too, so a branch replaced under old factors fails
+    pb = get_problem("rpk-aks")
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(pb, **change(pb))
