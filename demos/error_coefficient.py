@@ -63,10 +63,11 @@ psi_uu = lambda t: -12.0 * x(t)
 # ---------------------------------------------------------------------------
 # Dense discretization of the linearized operator K' at the exact solution.
 # The kernel G(s,t) psi_u(t) is continuous with a derivative kink on the
-# diagonal, so a fine composite Gauss grid resolves it well.
+# diagonal, so a fine composite Gauss grid resolves it well: 200 panels of
+# 6 points give C to within 3.7e-8 of 800 panels, against max|C| = 0.1.
 # ---------------------------------------------------------------------------
 
-fine = build_grid(800, 1, gauss_rule(6))
+fine = build_grid(200, 1, gauss_rule(6))
 nodes, weights = fine.nodes, fine.node_weights
 kprime = greens(nodes[:, None], nodes[None, :]) * psi_u(nodes[None, :])
 resolvent_lhs = np.eye(nodes.size) - kprime * weights[None, :]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import bbar, bernoulli, j_k, j_square_integral
 from .errors import ConvergenceError, UnknownProblemError
-from .extrapolate import ConvergenceReport, convergence_study, refinement_for
+from .extrapolate import ConvergenceReport, convergence_study
 from .galerkin import iterated_eval, solve_discrete_galerkin
 from .problems import available_problems, get_problem
 from .projection import minimal_rho
@@ -54,6 +54,18 @@ def _parse_n_list(text: str) -> list[int]:
     if not values:
         raise _UsageError("--n must list at least one value")
     return values
+
+
+def _parse_p(text: str) -> int | None:
+    """--p as the solver's p: None for 'pow' (p = n**r), an int for 'fixed:<p>'."""
+    if text == "pow":
+        return None
+    if text.startswith("fixed:"):
+        try:
+            return int(text.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad refinement rule {text!r}") from None
+    raise ValueError(f"unknown refinement rule {text!r} (use 'pow' or 'fixed:<p>')")
 
 
 def _write_table(fmt: str, columns, title: list, doc: dict) -> str:
@@ -189,7 +201,7 @@ def build_parser() -> _Parser:
 
 def _cmd_solve(args) -> int:
     problem = get_problem(args.problem)
-    p = refinement_for(args.n, args.r, args.p)
+    p = _parse_p(args.p)
     sol = solve_discrete_galerkin(
         problem, args.n, args.r, p=p, rho=args.rho, tol=args.tol, max_iter=args.max_iter
     )
@@ -228,13 +240,7 @@ def _cmd_converge(args) -> int:
     problem = get_problem(args.problem)
     ns = _parse_n_list(args.n)
     report = convergence_study(
-        problem,
-        args.r,
-        ns,
-        p_rule=args.p,
-        rho=args.rho,
-        tol=args.tol,
-        max_iter=args.max_iter,
+        problem, args.r, ns, p=_parse_p(args.p), rho=args.rho, tol=args.tol, max_iter=args.max_iter
     )
     _emit(format_report(report, args.format), args.output)
     return EXIT_OK
@@ -262,7 +268,7 @@ def _cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-def _cmd_problems() -> int:
+def _cmd_problems(args) -> int:
     for name in available_problems():
         problem = get_problem(name)
         extra = f": {problem.description}" if problem.description else ""
@@ -270,20 +276,20 @@ def _cmd_problems() -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "solve": _cmd_solve,
+    "converge": _cmd_converge,
+    "coeffs": _cmd_coeffs,
+    "problems": _cmd_problems,
+}
+
+
 def run(argv=None) -> int:
     """Entry point; returns the process exit code instead of raising."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "problems":
-            return _cmd_problems()
-        if args.command == "coeffs":
-            return _cmd_coeffs(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "converge":
-            return _cmd_converge(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

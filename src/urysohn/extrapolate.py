@@ -4,7 +4,9 @@ At the partition points the iterated Galerkin error has the expansion
 (z_S - phi)(t_i) = C(t_i) * h**(2r) + O(h**(2r+2)), so combining the
 solutions on meshes h and h/2 with weights (2**(2r), -1)/(2**(2r) - 1)
 cancels the leading term and yields an O(h**(2r+2)) approximation.  The
-convergence study runs a ladder of doubling n values, records the errors
+convergence study runs a ladder of doubling n values, each solved by
+:func:`solve_discrete_galerkin` with the same ``p`` argument (None, the
+default, lets the solver take p = n**r per level), records the errors
 eps_S and eps_EX at each level's partition points, and estimates the
 observed orders between successive levels.
 """
@@ -27,7 +29,6 @@ __all__ = [
     "ConvergenceReport",
     "richardson",
     "estimate_order",
-    "refinement_for",
     "convergence_study",
 ]
 
@@ -89,22 +90,6 @@ def estimate_order(e_coarse: float, e_fine: float):
     return float(np.log2(e_coarse / e_fine))
 
 
-def refinement_for(n: int, r: int, p_rule) -> int:
-    """Resolve a refinement rule to the fine-interval count p for given n.
-
-    Accepted forms: "pow" (p = n**r, the default) and "fixed:<p>".
-    """
-    if p_rule is None or p_rule == "pow":
-        return n**r
-    if isinstance(p_rule, str) and p_rule.startswith("fixed:"):
-        try:
-            p = int(p_rule.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad refinement rule {p_rule!r}") from None
-        return _count(p, "refinement p")
-    raise ValueError(f"unknown refinement rule {p_rule!r} (use 'pow' or 'fixed:<p>')")
-
-
 @dataclass(frozen=True)
 class LevelResult:
     """Errors and orders for one ladder level at its partition points.
@@ -155,7 +140,7 @@ def convergence_study(
     problem: UrysohnProblem,
     r: int,
     n_list,
-    p_rule="pow",
+    p: int | None = None,
     rho: int | None = None,
     tol: float = 1e-12,
     max_iter: int = 50,
@@ -169,13 +154,12 @@ def convergence_study(
     r : int
         Local polynomial order.
     n_list : sequence of int
-        Strictly increasing; each entry must double the previous one
-        whenever the ladder has more than one level (orders and
-        extrapolation need nested partition points).
-    p_rule : see :func:`refinement_for`.
-    rho : int, optional
-        Gauss points per fine subinterval (default minimal for r).
-    tol, max_iter : Newton control passed to the solver.
+        Each entry must double the previous one whenever the ladder has
+        more than one level (orders and extrapolation need nested
+        partition points).
+    p, rho, tol, max_iter :
+        Passed to :func:`solve_discrete_galerkin` at every level; p
+        defaults to n**r per level.
     """
     ns = []
     for n in n_list:
@@ -184,8 +168,6 @@ def convergence_study(
         ns.append(int(n))
     if not ns:
         raise ValueError("n_list must not be empty")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"n_list must be strictly increasing, got {ns}")
     if any(b != 2 * a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"each n must double the previous one, got {ns}")
     if problem.exact is None:
@@ -194,7 +176,6 @@ def convergence_study(
     solved = []
     z_s = []
     for n in ns:
-        p = refinement_for(n, r, p_rule)
         start = time.perf_counter()
         try:
             sol = solve_discrete_galerkin(

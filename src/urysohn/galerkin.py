@@ -2,9 +2,12 @@
 
 The discrete Galerkin solution z_G solves z - P_n K_m(z) = P_n f with P_n
 the discrete orthogonal projection and K_m the Nystrom operator; the
-iterated solution z_S = K_m(z_G) + f recovers superconvergence at the
-partition points: |z_S(t_i) - phi(t_i)| = O(h**(2r)) while the global
-error of z_G is only O(h**r).
+iterated solution z_S = K_m(z_G) + f, evaluated by :func:`iterated_eval`,
+recovers superconvergence at the partition points:
+|z_S(t_i) - phi(t_i)| = O(h**(2r)) while the global error of z_G is only
+O(h**r).  The fine partition p per coarse subinterval defaults to n**r
+here and nowhere else; :func:`convergence_study` and the command line pass
+p through.
 
 Newton's method runs in coefficient space (dimension n*r).  The Jacobian
 entry for basis functions phi_{j,eta} (row) and phi_{k,xi} (column) is
@@ -24,7 +27,6 @@ iterated solution z_S is evaluated densely either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -60,9 +62,6 @@ class GalerkinSolution:
     newton_iterations: int
     final_residual_norm: float
     residual_norms: tuple
-
-    def iterated(self) -> partial:
-        return partial(iterated_eval, self)
 
 
 def _suffix(values, axis=0):

@@ -17,6 +17,7 @@ G's factors, so its Galerkin solve costs O(N) per Newton step.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,7 +62,8 @@ class UrysohnProblem:
     reproduce all four branch callables on a small fixed sample of each
     side, to 1e-12 of the largest finite branch value there; points where
     a branch is not finite are not compared.  Otherwise ValueError names
-    the side and the order.
+    the side and the order; factors not shaped as two triples of callables
+    raise ValueError too.
     """
 
     name: str
@@ -96,7 +98,13 @@ def _side_products(side, s, t, u, order):
 def _check_factors(problem: UrysohnProblem) -> None:
     """ValueError unless the factors reproduce the branches on the fixed sample."""
     sides = problem.factors
-    if not (len(sides) == 2 and all(len(side) == 3 for side in sides)):
+    # the type test comes first: len() fails on a non-sequence such as an int
+    if not (
+        isinstance(sides, (tuple, list))
+        and len(sides) == 2
+        and all(isinstance(side, (tuple, list)) and len(side) == 3 for side in sides)
+        and all(callable(g) for side in sides for g in side)
+    ):
         raise ValueError(
             "factors must be ((a, beta, beta_du), (c, delta, delta_du)) for the lower "
             "and the upper side"
@@ -145,21 +153,24 @@ def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0):
     or below every s (max t <= min s, checked on the operands before
     broadcasting) only the lower branch is called, when every t lies above
     every s only the upper one, and otherwise both, on the whole broadcast
-    block.  The result has the broadcast shape of s, t and the branch
-    output either way.  The finiteness check covers the values returned,
-    that is, each branch only where it is used.
+    block and with numpy's floating-point warnings off, since each then also
+    runs on the side where its values are dropped.  The result has the
+    broadcast shape of s, t and the branch output either way.  The
+    finiteness check covers the values returned, that is, each branch only
+    where it is used.
 
     Parameters
     ----------
     u_derivative_order : {0, 1}
-        0 for the kernel value, 1 for dk/du.
+        0 for the kernel value, 1 for dk/du; an integer, not a bool.
     """
-    if u_derivative_order not in (0, 1):
-        raise ValueError(f"u_derivative_order must be 0 or 1, got {u_derivative_order}")
+    order = u_derivative_order
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order not in (0, 1):
+        raise ValueError(f"u_derivative_order must be 0 or 1, got {order!r}")
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
-    if u_derivative_order == 0:
+    if order == 0:
         lower, upper = problem.kappa_lower, problem.kappa_upper
     else:
         lower, upper = problem.kappa_lower_du, problem.kappa_upper_du
@@ -169,7 +180,8 @@ def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0):
     elif nonempty and t.min() > s.max():
         out = np.asarray(upper(s, t, u))
     else:
-        out = np.where(t <= s, lower(s, t, u), upper(s, t, u))
+        with np.errstate(all="ignore"):
+            out = np.where(t <= s, lower(s, t, u), upper(s, t, u))
     shape = np.broadcast_shapes(s.shape, t.shape, out.shape)
     if out.shape != shape:
         out = np.broadcast_to(out, shape).copy()

@@ -359,7 +359,7 @@ def test_criterion_08_galerkin_identities():
 
     # projecting the iterated solution recovers the coefficient solution
     sol = solve_discrete_galerkin(pb, 8, 1)
-    back = project(sol.iterated(), sol.grid, 1)
+    back = project(lambda s: iterated_eval(sol, s), sol.grid, 1)
     proj_dev = np.abs(back.coeffs - sol.z_g.coeffs).max()
 
     # analytic Jacobian vs finite differences on a small system (n=4, r=2)

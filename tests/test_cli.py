@@ -251,3 +251,25 @@ def test_converge_reports_a_bad_newton_tolerance_on_the_common_error_path(captur
     assert code == 1
     assert out == ""
     assert "urysohn: error:" in err and "tol" in err
+
+
+@pytest.mark.parametrize("rule, r, p", [("pow", 1, 6), ("pow", 2, 36), ("fixed:7", 1, 7)])
+def test_refinement_flag_sets_the_solver_p(capture, rule, r, p):
+    code, out, _ = capture(
+        ["solve", "--problem", "rpk-aks", "--n", "6", "--r", str(r), "--p", rule, "--format", "json"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["p"], doc["m"]) == (p, 6 * p)
+
+
+@pytest.mark.parametrize("command, n", [("solve", "4"), ("converge", "4,8")])
+@pytest.mark.parametrize(
+    "rule, named",
+    [("fixed:x", "refinement rule"), ("fixed:0", "p must be"), ("cube", "refinement rule")],
+)
+def test_bad_refinement_rules_are_usage_errors(capture, command, n, rule, named):
+    code, out, err = capture([command, "--problem", "rpk-aks", "--n", n, "--p", rule])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("urysohn: error:") and named in err

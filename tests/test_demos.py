@@ -2,9 +2,9 @@
 
 Each runs in its own interpreter, so a demo that imports a name the package
 no longer exports (projection_basics.py takes ``minimal_rho`` from
-``urysohn``) fails here.  error_coefficient.py, whose oracle solves its own
-dense resolvent equations, takes about 10 s on a 2-vCPU Xeon and is run by
-hand.
+``urysohn``) fails here.  All six run; the slowest, error_coefficient.py,
+whose oracle solves its own dense resolvent equations on 1200 nodes, takes
+about 1 s on a 2-vCPU Xeon.
 """
 
 import os
@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "demo",
     [
+        "error_coefficient.py",
         "galerkin_superconvergence.py",
         "nystrom_solve.py",
         "projection_basics.py",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from urysohn import (
+    DomainError,
     GridMismatchError,
     PointValues,
     convergence_study,
@@ -11,7 +12,6 @@ from urysohn import (
     get_problem,
     richardson,
 )
-from urysohn.extrapolate import refinement_for
 
 
 def synthetic_pair(n, r, a, b):
@@ -64,12 +64,12 @@ def test_estimate_order_basic_and_floor():
     assert estimate_order(0.0, 0.0) is None
 
 
-def test_refinement_rules():
-    assert refinement_for(10, 1, "pow") == 10
-    assert refinement_for(10, 2, "pow") == 100
-    assert refinement_for(10, 1, "fixed:7") == 7
-    with pytest.raises(ValueError):
-        refinement_for(10, 1, "fixed:not-a-number")
+def test_convergence_study_passes_p_to_every_level():
+    pb = get_problem("rpk-aks")
+    fixed = convergence_study(pb, 1, [4, 8], p=3)
+    assert [(lev.n, lev.p, lev.m) for lev in fixed.levels] == [(4, 3, 12), (8, 3, 24)]
+    default = convergence_study(pb, 1, [4, 8])
+    assert [(lev.n, lev.p) for lev in default.levels] == [(4, 4), (8, 8)]
 
 
 def test_convergence_study_structure_and_orders():
@@ -114,10 +114,12 @@ def test_convergence_study_validates_ladder():
     pb = get_problem("rpk-aks")
     with pytest.raises(ValueError):
         convergence_study(pb, 1, [])
-    with pytest.raises(ValueError):
-        convergence_study(pb, 1, [10, 15])  # not doubling
-    with pytest.raises(ValueError):
-        convergence_study(pb, 1, [20, 10])  # not increasing
+    for ladder in ([10, 15], [20, 10]):
+        with pytest.raises(ValueError, match="each n must double"):
+            convergence_study(pb, 1, ladder)
+    for ladder in ([0, 0], [-2, -4]):  # doubling, but the solver's count check fails
+        with pytest.raises(DomainError, match="n must be a positive integer"):
+            convergence_study(pb, 1, ladder)
     for ladder, named in (([2.5, 4.9], "2.5"), ([2, 4.5], "4.5")):
         with pytest.raises(ValueError, match=named):
             convergence_study(pb, 1, ladder)  # not integers
@@ -177,6 +179,6 @@ def test_convergence_study_keeps_the_solver_error_type():
         exact=lambda s: np.ones_like(np.asarray(s, dtype=float)),
     )
     with pytest.raises(SingularOperatorError, match="level n=4 failed: ") as exc:
-        convergence_study(pb, 1, [4, 8], p_rule="fixed:1", rho=2)
+        convergence_study(pb, 1, [4, 8], p=1, rho=2)
     assert exc.value.residual_norms
     assert exc.value.residual_norms == exc.value.__cause__.residual_norms

@@ -12,9 +12,11 @@ import pytest
 from urysohn import (
     DomainError,
     EvaluationError,
+    GridFunction,
     PrecisionError,
     SingularOperatorError,
     UrysohnProblem,
+    apply_km,
     build_grid,
     gauss_rule,
     get_problem,
@@ -25,6 +27,7 @@ from urysohn import (
     project,
     sinh_greens_branches,
     solve_discrete_galerkin,
+    solve_nystrom,
 )
 from urysohn.galerkin import _jacobian, _km_at_nodes
 from urysohn.problems import _sinh_greens_factors
@@ -74,8 +77,7 @@ def test_projection_identity_links_iterated_and_galerkin_solutions():
     # Projecting the iterated solution recovers the Galerkin coefficients.
     pb = get_problem("rpk-aks")
     sol = solve_discrete_galerkin(pb, 8, 1)
-    it = sol.iterated()
-    back = project(it, sol.grid, 1)
+    back = project(lambda s: iterated_eval(sol, s), sol.grid, 1)
     assert np.abs(back.coeffs - sol.z_g.coeffs).max() < 1e-10
 
 
@@ -310,10 +312,9 @@ def test_solve_matches_dense_reference_bit_for_bit(crossing_problem, n, r):
 
 def test_iterated_solution_checks_the_domain_before_the_forcing(sqrt_forcing_problem):
     sol = solve_discrete_galerkin(sqrt_forcing_problem, 4, 1)
-    for evaluate in (lambda s: iterated_eval(sol, s), sol.iterated()):
-        for s in (1.5, np.array([0.5, 1.5]), np.nan, np.array([0.5, np.nan])):
-            with pytest.raises(DomainError):
-                evaluate(s)
+    for s in (1.5, np.array([0.5, 1.5]), np.nan, np.array([0.5, np.nan])):
+        with pytest.raises(DomainError):
+            iterated_eval(sol, s)
 
 
 def test_iterated_solution_does_not_depend_on_the_order_of_the_points(crossing_problem):
@@ -328,7 +329,6 @@ def test_iterated_solution_does_not_depend_on_the_order_of_the_points(crossing_p
     expected = np.empty_like(pts)
     expected[order] = iterated_eval(sol, pts[order])
     np.testing.assert_array_equal(iterated_eval(sol, pts), expected)
-    np.testing.assert_array_equal(sol.iterated()(pts), expected)
 
 
 def sinh_problem(gamma, psi=lambda t, u: t * u - u**3, psi_du=lambda t, u: t - 3.0 * u**2):
@@ -399,10 +399,26 @@ def test_factored_km_matches_the_dense_km_at_the_nodes(gamma):
     z = 1.0 + np.sin(5.0 * grid.nodes)
     # near the diagonal the dense path also evaluates each branch on the other
     # side, where the sinh product overflows for gamma = 700; np.where drops it
-    with np.errstate(over="ignore"):
-        dense = _km_at_nodes(dataclasses.replace(pb, factors=None), grid, z)
+    dense = _km_at_nodes(dataclasses.replace(pb, factors=None), grid, z)
     factored = _km_at_nodes(pb, grid, z)
     assert np.max(np.abs(factored - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_dense_apply_km_at_gamma_700_matches_the_factored_km():
+    pb = sinh_problem(700.0)
+    grid = build_grid(20, 20, gauss_rule(2))
+    z = 1.0 + np.sin(5.0 * grid.nodes)
+    dense = apply_km(dataclasses.replace(pb, factors=None), GridFunction(grid, z), grid.nodes)
+    factored = _km_at_nodes(pb, grid, z)
+    assert np.max(np.abs(dense - factored)) <= 1e-14 * np.max(np.abs(factored))
+
+
+def test_dense_nystrom_solve_at_gamma_700_solves_the_factored_equation():
+    pb = sinh_problem(700.0)
+    grid = build_grid(20, 20, gauss_rule(2))
+    sol = solve_nystrom(dataclasses.replace(pb, factors=None), grid)
+    x = sol.node_values.values
+    assert np.max(np.abs(x - _km_at_nodes(pb, grid, x) - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["gamma-720", "nan-above-3"])

@@ -207,9 +207,11 @@ def test_kernel_eval_returns_the_full_block_for_a_branch_that_ignores_s(t):
         np.testing.assert_array_equal(out, want)
 
 
-def test_kernel_eval_rejects_derivative_orders_above_one():
+@pytest.mark.parametrize("order", [2, -1, True, 1.0])
+def test_kernel_eval_rejects_derivative_orders_above_one(order):
+    # True and 1.0 equal 1, but a flag or a float is not a derivative order
     with pytest.raises(ValueError, match="u_derivative_order"):
-        kernel_eval(get_problem("rpk-aks"), 0.5, 0.25, 1.0, u_derivative_order=2)
+        kernel_eval(get_problem("rpk-aks"), 0.5, 0.25, 1.0, u_derivative_order=order)
 
 
 
@@ -239,8 +241,18 @@ def _rpk_aks_factors_of_gamma(gamma):
             r"upper branch \(du\)",
         ),
         (lambda pb: {"factors": pb.factors[:1]}, "factors must be"),
+        (lambda pb: {"factors": 5}, "factors must be"),
+        (lambda pb: {"factors": (pb.factors[0][0], pb.factors[1][0])}, "factors must be"),
     ],
-    ids=["sides-swapped", "other-gamma", "replaced-branch", "replaced-derivative", "one-side"],
+    ids=[
+        "sides-swapped",
+        "other-gamma",
+        "replaced-branch",
+        "replaced-derivative",
+        "one-side",
+        "an-int",
+        "pair-of-callables",
+    ],
 )
 def test_factors_that_do_not_reproduce_the_branches_are_rejected(change, match):
     # dataclasses.replace runs the check too, so a branch replaced under old factors fails
