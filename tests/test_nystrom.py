@@ -59,17 +59,20 @@ def test_builtin_solution_values_and_iteration_budget():
 
 def test_newton_trace_is_roughly_quadratic():
     pb = get_problem("rpk-aks")
-    sol = solve_nystrom(pb, builtin_grid(100))
-    trace = np.asarray(sol.residual_norms)
-    # successive residuals fall faster than a fixed-rate contraction
-    drops = trace[1:] / trace[:-1]
-    assert np.all(drops[1:-1] < 0.1)
+    for m in (100, 400):
+        sol = solve_nystrom(pb, builtin_grid(m))
+        trace = np.asarray(sol.residual_norms)
+        # successive residuals fall faster than a fixed-rate contraction; on 400
+        # panels the coarse start leaves three residuals, 6.6e-5, 4.0e-10, ~1e-16
+        drops = trace[1:] / trace[:-1]
+        assert np.all(drops[1:-1] < 0.1)
+        assert trace[1] <= trace[0] ** 2
 
 
 def test_node_error_order_two_in_fine_mesh():
     pb = get_problem("rpk-aks")
     errs = []
-    for m in (50, 100, 200):
+    for m in (50, 100, 200, 400):
         grid = builtin_grid(m)
         sol = solve_nystrom(pb, grid)
         errs.append(np.abs(sol.node_values.values - pb.exact(grid.nodes)).max())
@@ -403,3 +406,75 @@ def test_nystrom_gmres_matches_a_dense_lu_solve(crossing_problem, monkeypatch, p
     assert sol.newton_iterations == ref.newton_iterations
     x, x_ref = sol.node_values.values, ref.node_values.values
     assert np.max(np.abs(x - x_ref) / np.abs(x_ref)) <= 1e-14
+
+
+def coarse_start_grid(grid):
+    return build_grid(64, 1, grid.rule)
+
+
+@pytest.mark.parametrize("problem, iterations", [("rpk-aks", (3, 6)), ("crossing", (3, 4))])
+def test_default_start_above_256_panels_matches_the_start_from_f(
+    crossing_problem, problem, iterations
+):
+    pb = crossing_problem if problem == "crossing" else get_problem(problem)
+    grid = builtin_grid(300)
+    sol = solve_nystrom(pb, grid)
+    ref = solve_nystrom(pb, grid, initial=pb.f)
+    assert (sol.newton_iterations, ref.newton_iterations) == iterations
+    x, x_ref = sol.node_values.values, ref.node_values.values
+    assert np.max(np.abs(x - x_ref) / np.abs(x_ref)) <= 1e-12
+
+
+def test_only_the_default_start_solves_on_the_coarse_grid(monkeypatch):
+    pb = get_problem("rpk-aks")
+    grid = builtin_grid(300)
+    inner = []
+    solve = nystrom.solve_nystrom
+
+    def spy(problem, g, *args, **kwargs):
+        inner.append(g)
+        return solve(problem, g, *args, **kwargs)
+
+    monkeypatch.setattr(nystrom, "solve_nystrom", spy)
+    for initial in (pb.exact(grid.nodes), pb.exact):
+        solve(pb, grid, initial=initial)
+    assert inner == []
+    solve(pb, grid)
+    assert [(g.n, g.p, g.node_count) for g in inner] == [(64, 1, 128)]
+    assert inner[0].rule is grid.rule
+
+
+def test_coarse_start_failure_names_the_coarse_grid_and_carries_its_trace():
+    pb = get_problem("rpk-aks")
+    grid = builtin_grid(300)
+    with pytest.raises(ConvergenceError) as coarse:
+        solve_nystrom(pb, coarse_start_grid(grid), max_iter=3)
+    with pytest.raises(ConvergenceError, match="128-node") as exc:
+        solve_nystrom(pb, grid, max_iter=3)
+    assert type(exc.value) is ConvergenceError
+    assert exc.value.residual_norms == coarse.value.residual_norms
+    assert len(exc.value.residual_norms) == 3
+
+
+def test_two_grid_solve_evaluates_the_closed_form_kernel_count(monkeypatch):
+    # The coarse Newton solve, its natural extension at the N fine nodes and
+    # the fine Newton solve, and nothing else.
+    pb = get_problem("rpk-aks")
+    grid = builtin_grid(300)
+    coarse = coarse_start_grid(grid)
+    iters_c = solve_nystrom(pb, coarse).newton_iterations
+    evaluated = {0: 0, 1: 0}
+    kernel = nystrom.kernel_eval
+
+    def counting(problem, s, t, u, order):
+        out = kernel(problem, s, t, u, order)
+        evaluated[order] += out.size
+        return out
+
+    monkeypatch.setattr(nystrom, "kernel_eval", counting)
+    iters = solve_nystrom(pb, grid).newton_iterations
+    n, n_c = grid.node_count, coarse.node_count
+    assert evaluated == {
+        0: iters_c * n_c**2 + n * n_c + iters * n**2,
+        1: (iters_c - 1) * n_c**2 + (iters - 1) * n**2,
+    }
