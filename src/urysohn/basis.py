@@ -21,7 +21,6 @@ from .quadrature import _count, _unit_points, gauss_rule
 
 __all__ = [
     "legendre",
-    "legendre_table",
     "lambda_r",
     "j_k",
     "bernoulli",

@@ -299,7 +299,7 @@ def run(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"urysohn: solver failed to converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, np.linalg.LinAlgError) as exc:  # OSError: --output
         print(f"urysohn: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import ConvergenceError, GridMismatchError
 from .galerkin import iterated_eval, solve_discrete_galerkin
+from .nystrom import _NewtonTrace
 from .problems import UrysohnProblem
-from .quadrature import _count, values_on
+from .quadrature import _count, _frozen_array, values_on
 
 __all__ = [
     "PointValues",
@@ -37,24 +38,20 @@ ORDER_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class PointValues:
-    """Values sampled at the coarse partition points 0 = t_0 < ... < t_n = 1."""
+    """Finite values sampled at the coarse partition points 0 = t_0 < ... < t_n = 1."""
 
     points: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if pts.ndim != 1 or pts.shape != vals.shape:
-            raise ValueError("points and values must be 1-d arrays of equal length")
+        pts = _frozen_array(self.points, (np.size(self.points),), "points (1-d)")
+        vals = _frozen_array(self.values, pts.shape, "values (one per point)")
         if pts.size < 2 or np.any(np.diff(pts) <= 0):
             raise ValueError("points must be strictly increasing with at least 2 entries")
         if abs(pts[0]) > 1e-15 or abs(pts[-1] - 1.0) > 1e-15:
             raise ValueError("points must start at 0 and end at 1")
-        for field_name, arr in (("points", pts), ("values", vals)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, field_name, arr)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "values", vals)
 
 
 def richardson(coarse: PointValues, fine: PointValues, r: int) -> PointValues:
@@ -91,18 +88,19 @@ def estimate_order(e_coarse: float, e_fine: float):
 
 
 @dataclass(frozen=True)
-class LevelResult:
+class LevelResult(_NewtonTrace):
     """Errors and orders for one ladder level at its partition points.
 
     ``order_s[i]`` is the observed order of eps_S between this level and
     the next at point i (None where either error is below the floor or no
     next level exists); ``eps_ex``/``order_ex`` likewise for the
     extrapolated values, needing one and two further levels respectively.
+    ``residual_norms`` is the level's Newton trace; ``m`` = n*p,
+    ``newton_iterations`` and ``final_residual_norm`` are derived.
     """
 
     n: int
     p: int
-    m: int
     rho: int
     points: np.ndarray
     z_s: np.ndarray
@@ -110,9 +108,13 @@ class LevelResult:
     order_s: tuple
     eps_ex: np.ndarray | None
     order_ex: tuple | None
-    newton_iterations: int
-    final_residual_norm: float
+    residual_norms: tuple
     wall_time: float
+
+    @property
+    def m(self) -> int:
+        """Fine subinterval count n*p."""
+        return self.n * self.p
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,11 @@ def convergence_study(
     """
     ns = []
     for n in n_list:
-        if int(n) != n:
+        try:
+            whole = int(n) == n
+        except (TypeError, ValueError, OverflowError):  # None, nan, inf
+            whole = False
+        if not whole:
             raise ValueError(f"n_list entries must be integers, got {n!r}")
         ns.append(int(n))
     if not ns:
@@ -209,7 +215,6 @@ def convergence_study(
             LevelResult(
                 n=sol.grid.n,
                 p=sol.grid.p,
-                m=sol.grid.m,
                 rho=sol.grid.rule.npoints,
                 points=z_s[i].points,
                 z_s=z_s[i].values,
@@ -217,8 +222,7 @@ def convergence_study(
                 order_s=order_s,
                 eps_ex=eps_ex[i],
                 order_ex=order_ex,
-                newton_iterations=sol.newton_iterations,
-                final_residual_norm=sol.final_residual_norm,
+                residual_norms=sol.residual_norms,
                 wall_time=wall,
             )
         )

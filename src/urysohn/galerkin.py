@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nystrom import GridFunction, _extension, _kernel_pieces, _newton, _weighted_kernel_sum
+from .nystrom import (
+    GridFunction, _extension, _kernel_pieces, _newton, _NewtonTrace, _weighted_kernel_sum
+)
 from .problems import UrysohnProblem, _factor_eval
 from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
 from .quadrature import CompositeGrid, _count, build_grid, gauss_rule, values_on
@@ -46,22 +48,29 @@ _MAX_COEFFS = 2000
 
 
 @dataclass(frozen=True)
-class GalerkinSolution:
+class GalerkinSolution(_NewtonTrace):
     """Result of :func:`solve_discrete_galerkin`.
 
     ``z_g`` is the piecewise-polynomial Galerkin solution;
     ``z_g_node_values`` caches its values at the quadrature nodes (these
-    drive every K_m evaluation, including the iterated solution).
+    drive every K_m evaluation, including the iterated solution), and
+    ``residual_norms`` is the Newton trace.  ``grid`` (that of the node
+    values), ``r`` (that of ``z_g``), ``newton_iterations`` and
+    ``final_residual_norm`` are derived from these fields.
     """
 
     problem: UrysohnProblem
-    grid: CompositeGrid
-    r: int
     z_g: PiecewiseLegendre
     z_g_node_values: GridFunction
-    newton_iterations: int
-    final_residual_norm: float
     residual_norms: tuple
+
+    @property
+    def grid(self) -> CompositeGrid:
+        return self.z_g_node_values.grid
+
+    @property
+    def r(self) -> int:
+        return self.z_g.r
 
 
 def _suffix(values, axis=0):
@@ -182,12 +191,8 @@ def solve_discrete_galerkin(
     )
     return GalerkinSolution(
         problem=problem,
-        grid=grid,
-        r=r,
         z_g=PiecewiseLegendre(n=n, r=r, coeffs=coeffs),
         z_g_node_values=GridFunction(grid, node_values(coeffs)),
-        newton_iterations=len(trace),
-        final_residual_norm=trace[-1],
         residual_norms=tuple(trace),
     )
 

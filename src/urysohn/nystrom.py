@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConvergenceError, SingularOperatorError
 from .problems import UrysohnProblem, kernel_eval
-from .quadrature import CompositeGrid, _count, _unit_points, build_grid, values_on
+from .quadrature import CompositeGrid, _count, _frozen_array, _unit_points, build_grid, values_on
 
 __all__ = ["GridFunction", "apply_km", "km_prime_apply", "solve_nystrom", "NystromSolution"]
 
@@ -55,16 +55,9 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.node_count,):
-            raise ValueError(
-                f"values shape {v.shape} does not match node count {self.grid.node_count}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid-function values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        shape = (self.grid.node_count,)
+        values = _frozen_array(self.values, shape, "values (one per node, node count)")
+        object.__setattr__(self, "values", values)
 
 
 def _kernel_pieces(problem, s_rows, nodes, xvals, order):
@@ -243,16 +236,36 @@ def _newton(x0, residual, newton_step, tol, max_iter, singular_message):
     )
 
 
+class _NewtonTrace:
+    """Counts read off the stored Newton trace ``residual_norms``."""
+
+    @property
+    def newton_iterations(self) -> int:
+        """Number of Newton iterations: residual evaluations, one per trace entry."""
+        return len(self.residual_norms)
+
+    @property
+    def final_residual_norm(self) -> float:
+        """Sup norm of the accepted iterate's residual, the last trace entry."""
+        return self.residual_norms[-1]
+
+
 @dataclass(frozen=True)
-class NystromSolution:
-    """Solution of the Nystrom equation x - K_m(x) = f at the grid nodes."""
+class NystromSolution(_NewtonTrace):
+    """Solution of the Nystrom equation x - K_m(x) = f at the grid nodes.
+
+    ``residual_norms`` is the Newton trace on this grid; ``grid`` (that of
+    ``node_values``), ``newton_iterations`` and ``final_residual_norm`` are
+    derived from the stored fields.
+    """
 
     problem: UrysohnProblem
-    grid: CompositeGrid
     node_values: GridFunction
-    newton_iterations: int
-    final_residual_norm: float
     residual_norms: tuple
+
+    @property
+    def grid(self) -> CompositeGrid:
+        return self.node_values.grid
 
     def __call__(self, s):
         """Natural extension f(s) + K_m(x)(s); agrees with the node values."""
@@ -319,22 +332,18 @@ def solve_nystrom(
     if initial is None and grid.n * grid.p > _TWO_GRID_FLOOR:
         coarse = build_grid(_COARSE_PANELS, 1, grid.rule)
         try:
-            x0 = solve_nystrom(problem, coarse, tol, max_iter)(grid.nodes)
+            initial = solve_nystrom(problem, coarse, tol, max_iter)
         except ConvergenceError as exc:
             raise type(exc)(
                 f"coarse start on the {coarse.node_count}-node grid failed: {exc}",
                 residual_norms=exc.residual_norms,
             ) from exc
-    elif initial is None:
-        x0 = f_nodes.copy()
+    if initial is None:
+        x0 = f_nodes
     elif callable(initial):
         x0 = values_on(initial, grid.nodes)
     else:
-        x0 = np.asarray(initial, dtype=float).copy()
-        if x0.shape != (n_nodes,):
-            raise ValueError(f"initial values shape {x0.shape}, expected ({n_nodes},)")
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("initial values must be finite")
+        x0 = _frozen_array(initial, (n_nodes,), "initial values")
 
     def residual(x):
         return x - _weighted_kernel_sum(problem, grid, x, grid.nodes, order=0) - f_nodes
@@ -361,9 +370,6 @@ def solve_nystrom(
     )
     return NystromSolution(
         problem=problem,
-        grid=grid,
         node_values=GridFunction(grid, x),
-        newton_iterations=len(trace),
-        final_residual_norm=trace[-1],
         residual_norms=tuple(trace),
     )

@@ -17,11 +17,10 @@ import numpy as np
 
 from .basis import legendre_table
 from .errors import PrecisionError
-from .quadrature import CompositeGrid, _count, _unit_points, values_on
+from .quadrature import CompositeGrid, _count, _frozen_array, _unit_points, values_on
 
 __all__ = [
     "PiecewiseLegendre",
-    "basis_matrix",
     "discrete_inner_product",
     "minimal_rho",
     "project",
@@ -46,16 +45,8 @@ class PiecewiseLegendre:
     def __post_init__(self):
         object.__setattr__(self, "n", _count(self.n, "n"))
         object.__setattr__(self, "r", _count(self.r, "r"))
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.n, self.r):
-            raise ValueError(
-                f"coeffs shape {c.shape} does not match (n, r) = ({self.n}, {self.r})"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        coeffs = _frozen_array(self.coeffs, (self.n, self.r), "coeffs (n, r)")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, s):
         return evaluate_piecewise(self, s)

@@ -23,7 +23,6 @@ __all__ = [
     "gauss_rule",
     "build_grid",
     "integrate_composite",
-    "values_on",
 ]
 
 _NEWTON_TOL = 1e-15
@@ -218,6 +217,17 @@ def _unit_points(t, what: str = "s") -> np.ndarray:
         bad = t[~((t >= 0.0) & (t <= 1.0))].ravel()[0]
         raise DomainError(f"{what}={bad!r} outside [0, 1]")
     return t
+
+
+def _frozen_array(values, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as a read-only float copy; ValueError unless of ``shape`` and finite."""
+    arr = np.array(values, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{what} shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 def values_on(g, t: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from urysohn import (
     lambda_r,
     legendre,
 )
+from urysohn.basis import legendre_table
 
 RNG = np.random.default_rng(20240817)
 
@@ -55,6 +56,25 @@ def test_degree_and_domain_validation():
         legendre(0, np.nan)
     with pytest.raises(DomainError):
         legendre(-1, 0.5)
+    with pytest.raises(DomainError, match="eta must be an integer"):
+        legendre(1.5, 0.5)
+    with pytest.raises(DomainError, match="r must be in"):
+        legendre_table(14, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: bernoulli(1.5, 0.5), "k must be an integer"),
+        (lambda: bernoulli(11, 0.5), "k must be in"),
+        (lambda: bbar(1, 3), "p_index must be in"),
+        (lambda: bbar(6, 1), "Bernoulli index 11"),
+    ],
+    ids=["bernoulli-k-type", "bernoulli-k", "bbar-p_index", "bbar-bernoulli-index"],
+)
+def test_bernoulli_indices_beyond_the_tabulated_range_are_rejected(call, named):
+    with pytest.raises(DomainError, match=named):
+        call()
 
 
 def test_lambda_reproduces_low_degree_polynomials():

@@ -8,8 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from urysohn import get_problem, problems, register_problem
-from urysohn.cli import run
+from urysohn import convergence_study, get_problem, problems, register_problem
+from urysohn.cli import format_report, run
 
 
 @pytest.fixture()
@@ -35,9 +35,10 @@ def test_unknown_problem_exit_code(capture):
 
 
 def test_usage_error_exit_code(capture):
-    code, _, err = capture(["converge", "--problem", "rpk-aks", "--n", "banana"])
-    assert code == 1
-    assert err.strip() != ""
+    for ladder, named in (("banana", "integers"), (",", "at least one value")):
+        code, out, err = capture(["converge", "--problem", "rpk-aks", "--n", ladder])
+        assert (code, out) == (1, "")
+        assert named in err
 
 
 def test_nonconvergence_exit_code(capture):
@@ -46,6 +47,12 @@ def test_nonconvergence_exit_code(capture):
     )
     assert code == 2
     assert "converge" in err.lower()
+
+
+def test_unknown_report_format_is_rejected():
+    report = convergence_study(get_problem("rpk-aks"), 1, [2])
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        format_report(report, "xml")
 
 
 def test_missing_required_flag_is_usage_error(capture):
@@ -165,6 +172,20 @@ def test_output_file_option(tmp_path, capture):
     assert out == ""
     text = target.read_text()
     assert text.startswith("t,eps_S,order_S,eps_EX,order_EX\n")
+
+
+@pytest.mark.parametrize(
+    "command, n, target",
+    [("solve", "4", "missing/x.csv"), ("converge", "4,8", ".")],
+    ids=["missing-directory", "a-directory"],
+)
+def test_unwritable_output_is_a_usage_error(tmp_path, capture, command, n, target):
+    path = tmp_path / target
+    code, out, err = capture(
+        [command, "--problem", "rpk-aks", "--n", n, "--format", "csv", "--output", str(path)]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("urysohn: error:") and str(path) in err
 
 
 def test_coeffs_subcommand_tokens(capture):

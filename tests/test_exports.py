@@ -17,6 +17,14 @@ def test_star_import_gives_exactly_the_listed_names():
     assert sorted(namespace) == sorted(urysohn.__all__)
 
 
+def test_package_lists_the_library_modules_names_once_in_module_order():
+    library = [name for name in MODULES[1:] if name != "urysohn.cli"]
+    assert len(library) == 8
+    joined = [n for name in library for n in importlib.import_module(name).__all__]
+    assert urysohn.__all__ == joined
+    assert len(joined) == len(set(joined))
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_listed_name_resolves_and_is_listed_once(name):
     module = importlib.import_module(name)

@@ -48,6 +48,9 @@ def test_richardson_requires_nested_grids():
     tf = np.linspace(0, 1, 15)
     with pytest.raises(GridMismatchError):
         richardson(PointValues(tc, tc), PointValues(tf, tf), 1)
+    tc, tf = np.linspace(0, 1, 3), np.array([0.0, 0.2, 0.6, 0.8, 1.0])  # 0.6 is not 0.5
+    with pytest.raises(GridMismatchError, match="misaligned"):
+        richardson(PointValues(tc, tc), PointValues(tf, tf), 1)
 
 
 def test_point_values_validation():
@@ -55,6 +58,13 @@ def test_point_values_validation():
         PointValues(np.array([0.0, 0.5]), np.array([1.0, 2.0]))  # must end at 1
     with pytest.raises(ValueError):
         PointValues(np.array([0.0, 0.6, 0.5, 1.0]), np.zeros(4))  # not increasing
+    with pytest.raises(ValueError, match="shape"):
+        PointValues(np.linspace(0, 1, 3), np.zeros(4))  # ragged: one value too many
+    with pytest.raises(ValueError, match="shape"):
+        PointValues(np.linspace(0, 1, 4).reshape(2, 2), np.zeros(4))  # not 1-d
+    for points, values in (([0.0, np.nan, 1.0], np.zeros(3)), ([0.0, 1.0], [0.0, np.nan])):
+        with pytest.raises(ValueError, match="must be finite"):
+            PointValues(points, values)
 
 
 def test_estimate_order_basic_and_floor():
@@ -108,6 +118,8 @@ def test_convergence_study_structure_and_orders():
         assert lev.wall_time > 0
 
     assert report.level_for(10) is lev10
+    with pytest.raises(KeyError, match="n=7"):
+        report.level_for(7)
 
 
 def test_convergence_study_validates_ladder():
@@ -120,8 +132,14 @@ def test_convergence_study_validates_ladder():
     for ladder in ([0, 0], [-2, -4]):  # doubling, but the solver's count check fails
         with pytest.raises(DomainError, match="n must be a positive integer"):
             convergence_study(pb, 1, ladder)
-    for ladder, named in (([2.5, 4.9], "2.5"), ([2, 4.5], "4.5")):
-        with pytest.raises(ValueError, match=named):
+    for ladder, named in (
+        ([2.5, 4.9], "2.5"),
+        ([2, 4.5], "4.5"),
+        ([np.inf], "inf"),
+        ([np.nan], "nan"),
+        ([None], "None"),
+    ):
+        with pytest.raises(ValueError, match=f"n_list entries must be integers, got {named}"):
             convergence_study(pb, 1, ladder)  # not integers
     report = convergence_study(pb, 1, [2.0, np.int64(4)])
     assert [level.n for level in report.levels] == [2, 4]

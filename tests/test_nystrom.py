@@ -166,6 +166,14 @@ def test_singular_newton_matrix_is_reported_with_trace():
     assert exc.value.residual_norms == [1.0]
 
 
+def test_non_finite_newton_step_is_reported_with_trace():
+    with pytest.raises(ConvergenceError, match="non-finite") as exc:
+        nystrom._newton(
+            np.ones(2), lambda x: x, lambda x, res: np.full(2, np.nan), 1e-12, 5, "singular"
+        )
+    assert exc.value.residual_norms == [1.0]
+
+
 def test_iteration_cap_must_be_positive():
     with pytest.raises(ValueError, match="max_iter"):
         solve_nystrom(get_problem("rpk-aks"), builtin_grid(4), max_iter=0)

@@ -165,6 +165,13 @@ def test_piecewise_coeffs_are_validated_and_frozen():
     pl = PiecewiseLegendre(2, 1, np.zeros((2, 1)))
     with pytest.raises(ValueError):
         pl.coeffs[0, 0] = 1.0
+    assert pl.h == 0.5
+
+
+@pytest.mark.parametrize("j", [-1, 3])
+def test_discrete_inner_product_rejects_a_subinterval_outside_the_grid(j):
+    with pytest.raises(ValueError, match=f"j={j} outside"):
+        discrete_inner_product(np.cos, np.sin, j, make_grid(3, 1))
 
 
 def test_evaluate_piecewise_rejects_outside_domain():
