@@ -14,8 +14,8 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """An abscissa outside [0, 1], or a count (n, p, r, rho, max_iter, ...)
-    that is not a positive integer or exceeds its cap."""
+    """An abscissa outside [0, 1], or an integer argument -- a count, degree,
+    index, order or size cap -- that is not an integer or is out of range."""
 
 
 class EvaluationError(ValueError):

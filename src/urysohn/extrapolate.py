@@ -80,8 +80,12 @@ def estimate_order(e_coarse: float, e_fine: float):
     """Observed order log2(e_coarse / e_fine); None below the error floor.
 
     Errors at or below 1e-14 sit in floating-point noise, so no order can
-    be claimed there and the estimate is reported as absent (None).
+    be claimed there and the estimate is reported as absent (None).  An
+    error that is negative or not finite raises ValueError.
     """
+    for e in (e_coarse, e_fine):
+        if not 0.0 <= e < np.inf:
+            raise ValueError(f"errors must be finite and >= 0, got {e!r}")
     if e_coarse <= ORDER_FLOOR or e_fine <= ORDER_FLOOR:
         return None
     return float(np.log2(e_coarse / e_fine))
@@ -166,7 +170,7 @@ def convergence_study(
     ns = []
     for n in n_list:
         try:
-            whole = int(n) == n
+            whole = int(n) == n and not isinstance(n, bool)
         except (TypeError, ValueError, OverflowError):  # None, nan, inf
             whole = False
         if not whole:

@@ -154,15 +154,15 @@ def solve_discrete_galerkin(
     tol, max_iter :
         Newton control: sup norm of the coefficient residual
         F(c) = c - <K_m(z_c), phi> - c_f (finite, > 0), and the iteration
-        cap (a positive integer).
+        cap (a positive integer).  A ``tol`` below the rounding floor
+        eps*max|c| of the iterate raises SingularOperatorError.
     """
     n = _count(n, "n")
     rule = gauss_rule(minimal_rho(r) if rho is None else rho)
     r = _check_order(r, rule.npoints)
     if p is None:
         p = n**r
-    if n * r > _MAX_COEFFS:
-        raise ValueError(f"n*r = {n * r} exceeds coefficient cap {_MAX_COEFFS}")
+    _count(n * r, "coefficient count n*r (the Jacobian takes 8*(n*r)**2 bytes)", hi=_MAX_COEFFS)
 
     grid = build_grid(n, p, rule)
     basis = basis_matrix(grid, r)  # (block, r), identical on every subinterval

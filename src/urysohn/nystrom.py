@@ -316,17 +316,13 @@ def solve_nystrom(
         A failure on the coarse grid of the default start is raised as the
         same class, with the coarse trace and the coarse node count.
     SingularOperatorError
-        If I - K_m'(x) is numerically singular at some iterate.
+        If I - K_m'(x) is numerically singular at some iterate, or if
+        ``tol`` is below the rounding floor eps*max|x| of the iterate.
     ValueError
-        If ``tol``, ``max_iter`` or ``initial`` is out of range, before any
-        kernel evaluation.
+        If ``tol``, ``max_iter``, ``initial`` or the node count is out of
+        range, before any kernel evaluation.
     """
-    n_nodes = grid.node_count
-    if n_nodes > _MAX_NODES:
-        raise ValueError(
-            f"grid has {n_nodes} nodes; capped at {_MAX_NODES} to bound the assembled "
-            "Jacobian's 8*N**2 bytes"
-        )
+    n_nodes = _count(grid.node_count, "nodes N (the Jacobian takes 8*N**2 bytes)", hi=_MAX_NODES)
 
     f_nodes = values_on(problem.f, grid.nodes)
     if initial is None and grid.n * grid.p > _TWO_GRID_FLOOR:

@@ -17,7 +17,6 @@ G's factors, so its Galerkin solve costs O(N) per Newton step.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -164,9 +163,7 @@ def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0):
     u_derivative_order : {0, 1}
         0 for the kernel value, 1 for dk/du; an integer, not a bool.
     """
-    order = u_derivative_order
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order not in (0, 1):
-        raise ValueError(f"u_derivative_order must be 0 or 1, got {order!r}")
+    order = _count(u_derivative_order, "u_derivative_order", lo=0, hi=1)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -202,8 +199,7 @@ def residual_check(problem: UrysohnProblem, candidate, panels: int = 64) -> floa
     This is the independent consistency oracle: for the exact solution it
     must be at quadrature accuracy, no solver involved.
     """
-    if _count(panels, "panels") < 16:
-        raise ValueError(f"panels must be >= 16, got {panels}")
+    panels = _count(panels, "panels", lo=16)
     s = np.linspace(0.0, 1.0, 101)
     base = build_grid(panels, 1, gauss_rule(10))
     # Nodes/weights of the composite rule on [0, side] for every s at once.

@@ -97,8 +97,7 @@ def discrete_inner_product(x, y, j: int, grid: CompositeGrid) -> float:
         Subinterval index, 0-based: integrates over (t_j, t_{j+1}].
     grid : CompositeGrid
     """
-    if not 0 <= j < grid.n:
-        raise ValueError(f"subinterval index j={j} outside [0, {grid.n - 1}]")
+    j = _count(j, "subinterval index j", lo=0, hi=grid.n - 1)
     block = grid.p * grid.rule.npoints
     sl = slice(j * block, (j + 1) * block)
     nodes = grid.nodes[sl]

@@ -80,9 +80,7 @@ def gauss_rule(rho: int) -> QuadratureRule:
     -------
     QuadratureRule
     """
-    rho = _count(rho, "rho")
-    if rho > _MAX_RHO:
-        raise DomainError(f"rho must be in [1, {_MAX_RHO}], got {rho}")
+    rho = _count(rho, "rho", hi=_MAX_RHO)
 
     i = np.arange(1, rho + 1, dtype=float)
     x = np.cos(np.pi * (i - 0.25) / (rho + 0.5))
@@ -202,10 +200,15 @@ def build_grid(n: int, p: int, rule: QuadratureRule) -> CompositeGrid:
     )
 
 
-def _count(value, what: str) -> int:
-    """``value`` as an int; DomainError unless it is an integer >= 1 (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise DomainError(f"{what} must be a positive integer, got {value!r}")
+def _count(value, what: str, lo: int = 1, hi: int | None = None) -> int:
+    """The one integer check: ``value`` as an int in [lo, hi] (``hi=None``: no
+    upper bound); DomainError for anything else, a bool included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1 <= lo:
+        kind = "a positive integer" if lo >= 1 else "an integer"
+        raise DomainError(f"{what} must be {kind}, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{what} must be {bounds}, got {int(value)}")
     return int(value)
 
 

@@ -68,7 +68,7 @@ def test_degree_and_domain_validation():
         (lambda: bernoulli(1.5, 0.5), "k must be an integer"),
         (lambda: bernoulli(11, 0.5), "k must be in"),
         (lambda: bbar(1, 3), "p_index must be in"),
-        (lambda: bbar(6, 1), "Bernoulli index 11"),
+        (lambda: bbar(6, 1), r"^p_index must be in \[2, 12\], got 1$"),
     ],
     ids=["bernoulli-k-type", "bernoulli-k", "bbar-p_index", "bbar-bernoulli-index"],
 )

@@ -72,6 +72,12 @@ def test_estimate_order_basic_and_floor():
     assert estimate_order(8e-3, 1e-3) == pytest.approx(3.0)
     assert estimate_order(5e-15, 1e-16) is None
     assert estimate_order(0.0, 0.0) is None
+    # an error that is not finite, or negative, is no error at all
+    for e_coarse, e_fine, named in ((float("nan"), 1e-3, "nan"), (-1.0, 1e-3, "-1.0")):
+        with pytest.raises(ValueError, match=f"must be finite and >= 0, got {named}$"):
+            estimate_order(e_coarse, e_fine)
+    with pytest.raises(ValueError, match="got inf$"):
+        estimate_order(1e-3, float("inf"))
 
 
 def test_convergence_study_passes_p_to_every_level():
@@ -138,6 +144,7 @@ def test_convergence_study_validates_ladder():
         ([np.inf], "inf"),
         ([np.nan], "nan"),
         ([None], "None"),
+        ([True], "True"),
     ):
         with pytest.raises(ValueError, match=f"n_list entries must be integers, got {named}"):
             convergence_study(pb, 1, ladder)  # not integers

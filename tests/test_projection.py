@@ -170,7 +170,7 @@ def test_piecewise_coeffs_are_validated_and_frozen():
 
 @pytest.mark.parametrize("j", [-1, 3])
 def test_discrete_inner_product_rejects_a_subinterval_outside_the_grid(j):
-    with pytest.raises(ValueError, match=f"j={j} outside"):
+    with pytest.raises(ValueError, match=rf"^subinterval index j must be in \[0, 2\], got {j}$"):
         discrete_inner_product(np.cos, np.sin, j, make_grid(3, 1))
 
 

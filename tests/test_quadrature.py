@@ -11,14 +11,19 @@ from urysohn import (
     PiecewiseLegendre,
     PointValues,
     bbar,
+    bernoulli,
     build_grid,
+    discrete_inner_product,
     gauss_rule,
     get_problem,
     integrate_composite,
     j_k,
     j_square_integral,
+    kernel_eval,
+    legendre,
     minimal_rho,
     project,
+    residual_check,
     richardson,
     solve_discrete_galerkin,
     solve_nystrom,
@@ -201,3 +206,48 @@ def test_every_count_is_checked_by_the_one_positive_integer_check(entry, bad):
     with pytest.raises(DomainError, match=f"^{what} must be a positive integer, got "):
         call(bad)
     call(np.int64(good))
+
+
+# entry point -> (call with the bounded argument set to v, lo, hi); hi None: no upper bound
+BOUNDED = {
+    "gauss_rule": (lambda v: gauss_rule(v), 1, 20),
+    "legendre_table": (lambda v: legendre_table(v, 0.5), 1, 13),
+    "legendre": (lambda v: legendre(v, 0.5), 0, 12),
+    "bernoulli": (lambda v: bernoulli(v, 0.5), 0, 10),
+    "j_k": (lambda v: j_k(1, v, 0.5), 1, 3),
+    "bbar-p_index": (lambda v: bbar(1, v), 1, 2),
+    # at r = 6 the Bernoulli index 2r - p_index <= 10 is the lower bound on p_index
+    "bbar-bernoulli_index": (lambda v: bbar(6, v), 2, 12),
+    "kernel_eval": (lambda v: kernel_eval(PROBLEM, 0.5, 0.25, 1.0, v), 0, 1),
+    "residual_check": (lambda v: residual_check(PROBLEM, PROBLEM.exact, v), 16, None),
+    "discrete_inner_product": (lambda v: discrete_inner_product(np.cos, np.sin, v, GRID), 0, 1),
+}
+# size caps -> (call with the size set to v, cap); only cap + 1 is tried, as a
+# solve at the cap takes seconds
+CAPPED = {
+    "solve_nystrom-N": (lambda v: solve_nystrom(PROBLEM, build_grid(v, 1, gauss_rule(1))), 5000),
+    "solve_discrete_galerkin-n*r": (lambda v: solve_discrete_galerkin(PROBLEM, v, 1), 2000),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        (entry, bad)
+        for entry, (_, lo, hi) in BOUNDED.items()
+        for bad in [True, 1.5, lo - 1] + ([] if hi is None else [hi + 1])
+    ],
+)
+def test_every_bounded_integer_is_checked_by_the_one_integer_check(entry, bad):
+    call, lo, hi = BOUNDED[entry]
+    with pytest.raises(DomainError):
+        call(bad)
+    for good in (lo,) if hi is None else (lo, hi):
+        call(np.int64(good))
+
+
+@pytest.mark.parametrize("entry", list(CAPPED))
+def test_size_caps_are_checked_by_the_one_integer_check(entry):
+    call, cap = CAPPED[entry]
+    with pytest.raises(DomainError, match=rf"must be in \[1, {cap}\], got {cap + 1}$"):
+        call(cap + 1)
