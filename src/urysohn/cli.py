@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .basis import bbar, bernoulli, j_k, j_square_integral
+from .basis import _MAX_BERNOULLI, bbar, bernoulli, j_k, j_square_integral
 from .errors import ConvergenceError, UnknownProblemError
 from .extrapolate import ConvergenceReport, convergence_study
 from .galerkin import iterated_eval, solve_discrete_galerkin
@@ -256,12 +256,12 @@ def _cmd_coeffs(args) -> int:
         vals = " ".join(full(j_k(r, k, t)) for t in taus)
         lines.append(f"  J_{k}: {vals}")
     lines.append("")
-    for p_index in range(1, 2 * r + 1):
+    for p_index in range(max(1, 2 * r - _MAX_BERNOULLI), 2 * r + 1):
         lines.append(f"bbar[{2 * r},{p_index}] = {full(bbar(r, p_index))}")
     lines.append(f"J2_integral = {full(j_square_integral(r))}")
     lines.append("")
     lines.append("Bernoulli B_k at s = 0, 0.5, 1:")
-    for k in range(0, min(2 * r, 10) + 1):
+    for k in range(0, min(2 * r, _MAX_BERNOULLI) + 1):
         vals = " ".join(full(bernoulli(k, s)) for s in (0.0, 0.5, 1.0))
         lines.append(f"  B_{k}: {vals}")
     sys.stdout.write("\n".join(lines) + "\n")

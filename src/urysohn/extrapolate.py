@@ -36,7 +36,7 @@ __all__ = [
 ORDER_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointValues:
     """Finite values sampled at the coarse partition points 0 = t_0 < ... < t_n = 1."""
 
@@ -91,7 +91,7 @@ def estimate_order(e_coarse: float, e_fine: float):
     return float(np.log2(e_coarse / e_fine))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelResult(_NewtonTrace):
     """Errors and orders for one ladder level at its partition points.
 
@@ -99,14 +99,13 @@ class LevelResult(_NewtonTrace):
     the next at point i (None where either error is below the floor or no
     next level exists); ``eps_ex``/``order_ex`` likewise for the
     extrapolated values, needing one and two further levels respectively.
-    ``residual_norms`` is the level's Newton trace; ``m`` = n*p,
+    ``residual_norms`` is the level's Newton trace; ``points``, ``m`` = n*p,
     ``newton_iterations`` and ``final_residual_norm`` are derived.
     """
 
     n: int
     p: int
     rho: int
-    points: np.ndarray
     z_s: np.ndarray
     eps_s: np.ndarray
     order_s: tuple
@@ -120,8 +119,13 @@ class LevelResult(_NewtonTrace):
         """Fine subinterval count n*p."""
         return self.n * self.p
 
+    @property
+    def points(self) -> np.ndarray:
+        """Partition points i/n for i = 0..n, where the errors are taken."""
+        return np.arange(self.n + 1) / self.n
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     """Ladder study output: one LevelResult per n, coarsest first."""
 
@@ -220,7 +224,6 @@ def convergence_study(
                 n=sol.grid.n,
                 p=sol.grid.p,
                 rho=sol.grid.rule.npoints,
-                points=z_s[i].points,
                 z_s=z_s[i].values,
                 eps_s=eps_s[i],
                 order_s=order_s,

@@ -47,7 +47,7 @@ __all__ = [
 _MAX_COEFFS = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GalerkinSolution(_NewtonTrace):
     """Result of :func:`solve_discrete_galerkin`.
 
@@ -92,7 +92,7 @@ def _km_at_nodes(problem, grid, zvals):
 
 def _jacobian(problem, grid, zvals, wb, n, r):
     """I - M where M[(j,eta),(k,xi)] = <K_m'(z) phi_{k,xi}, phi_{j,eta}>."""
-    block = grid.p * grid.rule.npoints
+    block = grid.offsets.size
     if problem.factors is None:
         m_full = np.empty((n, r, n, r))
         inner = np.empty((r, grid.node_count))  # eta x global node b

@@ -43,7 +43,7 @@ _COARSE_PANELS = 64  # panels of the grid whose solution starts a finer solve
 _TWO_GRID_FLOOR = 256  # grids of more panels than this start from _COARSE_PANELS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Values of a function at all quadrature nodes of a composite grid.
 
@@ -250,7 +250,7 @@ class _NewtonTrace:
         return self.residual_norms[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NystromSolution(_NewtonTrace):
     """Solution of the Nystrom equation x - K_m(x) = f at the grid nodes.
 

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLegendre:
     """Piecewise polynomial of degree < r on the uniform n-partition.
 
@@ -82,7 +82,7 @@ def basis_matrix(grid: CompositeGrid, r: int) -> np.ndarray:
 
 def _coefficients(values, grid: CompositeGrid, basis) -> np.ndarray:
     """Inner products <v, phi_{j,eta}> of node values v, shape (n, r): the P_n formula."""
-    block = grid.p * grid.rule.npoints
+    block = grid.offsets.size
     return (values.reshape(grid.n, block) * grid.node_weights[:block]) @ basis
 
 
@@ -98,7 +98,7 @@ def discrete_inner_product(x, y, j: int, grid: CompositeGrid) -> float:
     grid : CompositeGrid
     """
     j = _count(j, "subinterval index j", lo=0, hi=grid.n - 1)
-    block = grid.p * grid.rule.npoints
+    block = grid.offsets.size
     sl = slice(j * block, (j + 1) * block)
     nodes = grid.nodes[sl]
     return float(grid.node_weights[sl] @ (values_on(x, nodes) * values_on(y, nodes)))

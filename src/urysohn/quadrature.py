@@ -41,22 +41,49 @@ def _legendre_pair(rho: int, x: np.ndarray):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """A basic quadrature rule on [0, 1].
+    """The rho-point Gauss-Legendre rule on [0, 1], built from rho alone.
+
+    Roots of the Legendre polynomial P_rho on [-1, 1] are found by Newton
+    iteration from the Chebyshev-like initial guesses
+    cos(pi*(i - 1/4)/(rho + 1/2)), then affinely mapped to [0, 1].  The
+    node and weight arrays are derived, so rules compare and hash by rho.
 
     Attributes
     ----------
+    npoints : int
+        Number of quadrature points rho, 1 <= rho <= 20.
     nodes : ndarray
         Strictly increasing abscissas in (0, 1).
     weights : ndarray
         Positive weights summing to 1.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    npoints: int
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def npoints(self) -> int:
-        return self.nodes.size
+    def __post_init__(self):
+        rho = _count(self.npoints, "rho", hi=_MAX_RHO)
+
+        i = np.arange(1, rho + 1, dtype=float)
+        x = np.cos(np.pi * (i - 0.25) / (rho + 0.5))
+        for _ in range(100):
+            p, dp = _legendre_pair(rho, x)
+            dx = p / dp
+            x -= dx
+            if np.max(np.abs(dx)) <= _NEWTON_TOL:
+                break
+        _, dp = _legendre_pair(rho, x)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+
+        # Map [-1, 1] -> [0, 1]; initial guesses are descending, so flip.
+        nodes = ((1.0 + x) / 2.0)[::-1].copy()
+        weights = (w / 2.0)[::-1].copy()
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "npoints", rho)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def degree(self) -> int:
@@ -65,40 +92,8 @@ class QuadratureRule:
 
 
 def gauss_rule(rho: int) -> QuadratureRule:
-    """Build the rho-point Gauss-Legendre rule on [0, 1].
-
-    Roots of the Legendre polynomial P_rho on [-1, 1] are found by Newton
-    iteration from the Chebyshev-like initial guesses
-    cos(pi*(i - 1/4)/(rho + 1/2)), then affinely mapped to [0, 1].
-
-    Parameters
-    ----------
-    rho : int
-        Number of quadrature points, 1 <= rho <= 20.
-
-    Returns
-    -------
-    QuadratureRule
-    """
-    rho = _count(rho, "rho", hi=_MAX_RHO)
-
-    i = np.arange(1, rho + 1, dtype=float)
-    x = np.cos(np.pi * (i - 0.25) / (rho + 0.5))
-    for _ in range(100):
-        p, dp = _legendre_pair(rho, x)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) <= _NEWTON_TOL:
-            break
-    _, dp = _legendre_pair(rho, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-
-    # Map [-1, 1] -> [0, 1]; initial guesses are descending, so flip.
-    nodes = ((1.0 + x) / 2.0)[::-1].copy()
-    weights = (w / 2.0)[::-1].copy()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, weights=weights)
+    """The rho-point Gauss-Legendre rule on [0, 1], 1 <= rho <= 20: QuadratureRule(rho)."""
+    return QuadratureRule(rho)
 
 
 @dataclass(frozen=True)
@@ -108,12 +103,14 @@ class CompositeGrid:
     Each coarse subinterval (t_{j-1}, t_j] of width h = 1/n is split into
     ``p`` fine pieces, giving the fine partition with m = n*p subintervals
     of width h/p.  The basic rule is applied on each fine piece, so the
-    grid carries n*p*rho nodes ordered coarse-interval-major.
+    grid carries n*p*rho nodes ordered coarse-interval-major.  The four
+    arrays are derived from (n, p, rule), so grids compare and hash by
+    (n, p, rho).
 
     Attributes
     ----------
     n, p : int
-        Coarse subinterval count and refinement factor.
+        Coarse subinterval count and refinement factor, both >= 1.
     rule : QuadratureRule
         Basic rule applied on each fine subinterval.
     offsets : ndarray, shape (p*rho,)
@@ -133,10 +130,31 @@ class CompositeGrid:
     n: int
     p: int
     rule: QuadratureRule
-    offsets: np.ndarray = field(repr=False)
-    offset_weights: np.ndarray = field(repr=False)
-    nodes: np.ndarray = field(repr=False)
-    node_weights: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    offset_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    node_weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = _count(self.n, "n")
+        p = _count(self.p, "p")
+
+        nu = np.arange(p)[:, None]  # fine-piece index nu-1 = 0..p-1
+        offsets = ((nu + self.rule.nodes[None, :]) / p).ravel()
+        offset_weights = np.tile(self.rule.weights, p) / p
+
+        t_left = (np.arange(n, dtype=float) / n)[:, None]
+        nodes = (t_left + offsets[None, :] / n).ravel()
+        node_weights = np.tile(offset_weights, n) / n
+
+        for arr in (offsets, offset_weights, nodes, node_weights):
+            arr.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "offset_weights", offset_weights)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "node_weights", node_weights)
 
     @property
     def h(self) -> float:
@@ -164,40 +182,9 @@ class CompositeGrid:
 
 
 def build_grid(n: int, p: int, rule: QuadratureRule) -> CompositeGrid:
-    """Assemble the composite grid for n coarse intervals refined by p.
-
-    Parameters
-    ----------
-    n : int
-        Number of coarse subintervals, >= 1.
-    p : int
-        Fine subintervals per coarse subinterval, >= 1.
-    rule : QuadratureRule
-        Basic rule used on each fine subinterval.
-    """
-    n = _count(n, "n")
-    p = _count(p, "p")
-    rho = rule.npoints
-
-    nu = np.arange(p)[:, None]  # fine-piece index nu-1 = 0..p-1
-    offsets = ((nu + rule.nodes[None, :]) / p).ravel()
-    offset_weights = np.tile(rule.weights, p) / p
-
-    t_left = (np.arange(n, dtype=float) / n)[:, None]
-    nodes = (t_left + offsets[None, :] / n).ravel()
-    node_weights = np.tile(offset_weights, n) / n
-
-    for arr in (offsets, offset_weights, nodes, node_weights):
-        arr.setflags(write=False)
-    return CompositeGrid(
-        n=n,
-        p=p,
-        rule=rule,
-        offsets=offsets,
-        offset_weights=offset_weights,
-        nodes=nodes,
-        node_weights=node_weights,
-    )
+    """The composite grid of n >= 1 coarse subintervals, each refined into p >= 1
+    fine ones that carry ``rule``: CompositeGrid(n, p, rule)."""
+    return CompositeGrid(n, p, rule)
 
 
 def _count(value, what: str, lo: int = 1, hi: int | None = None) -> int:

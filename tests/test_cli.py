@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from urysohn import convergence_study, get_problem, problems, register_problem
+from urysohn import bbar, convergence_study, get_problem, problems, register_problem
 from urysohn.cli import format_report, run
 
 
@@ -198,6 +198,16 @@ def test_coeffs_subcommand_tokens(capture):
     for token, value in (("bbar[2,1]", -1 / 12), ("bbar[2,2]", 1 / 12)):
         line = next(ln for ln in out.splitlines() if ln.startswith(token))
         assert float(line.split("=")[1]) == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [6, 13])
+def test_coeffs_lists_bbar_for_the_tabulated_bernoulli_range(capture, r):
+    # bbar[2r,p] needs B_{2r-p}, tabulated up to B_10, so p starts at max(1, 2r - 10)
+    code, out, _ = capture(["coeffs", "--r", str(r)])
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if ln.startswith("bbar[")]
+    expected = [f"bbar[{2 * r},{p}] = {bbar(r, p):.16e}" for p in range(2 * r - 10, 2 * r + 1)]
+    assert lines == expected
 
 
 def test_coeffs_requires_no_problem_flag(capture):

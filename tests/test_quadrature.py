@@ -1,15 +1,21 @@
 """Gauss-Legendre rules on [0, 1] and composite grids."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from urysohn import (
+    CompositeGrid,
+    ConvergenceReport,
     DomainError,
     EvaluationError,
+    GridFunction,
+    LevelResult,
     PiecewiseLegendre,
     PointValues,
+    QuadratureRule,
     bbar,
     bernoulli,
     build_grid,
@@ -85,6 +91,35 @@ def test_rule_arrays_are_immutable():
     rule = gauss_rule(3)
     with pytest.raises(ValueError):
         rule.nodes[0] = 0.5
+
+
+def test_rules_and_grids_compare_and_hash_by_their_parameters():
+    assert gauss_rule(2) == gauss_rule(2) != gauss_rule(3)
+    assert hash(gauss_rule(3)) == hash(QuadratureRule(3))
+    rule = gauss_rule(2)
+    assert build_grid(4, 2, rule) == build_grid(4, 2, gauss_rule(2))
+    assert build_grid(4, 2, rule) != build_grid(2, 4, rule)
+    assert hash(build_grid(4, 2, rule)) == hash(CompositeGrid(4, 2, QuadratureRule(2)))
+
+
+def test_a_replaced_grid_parameter_rebuilds_the_arrays():
+    rule = gauss_rule(2)
+    grid = dataclasses.replace(build_grid(4, 1, rule), n=8)
+    fresh = build_grid(8, 1, rule)
+    for name in ("offsets", "offset_weights", "nodes", "node_weights"):
+        np.testing.assert_array_equal(getattr(grid, name), getattr(fresh, name))
+
+
+def test_arrays_are_derived_from_the_parameters_and_read_only():
+    with pytest.raises(TypeError):
+        QuadratureRule(nodes=[0.25, 0.75], weights=[0.5, 0.5])
+    rule = gauss_rule(2)
+    with pytest.raises(TypeError):
+        CompositeGrid(1, 1, rule, nodes=rule.nodes)
+    grid = build_grid(3, 2, rule)
+    for arr in (rule.weights, grid.offsets, grid.offset_weights, grid.nodes, grid.node_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
 
 
 def test_composite_offsets_single_interval_two_pieces():
@@ -180,8 +215,11 @@ COARSE, FINE = (PointValues(np.linspace(0, 1, k), np.zeros(k)) for k in (3, 5))
 # entry point -> (argument name, call with that argument set to v, a valid v)
 COUNTED = {
     "gauss_rule": ("rho", lambda v: gauss_rule(v), 2),
+    "QuadratureRule": ("rho", lambda v: QuadratureRule(v), 2),
     "build_grid-n": ("n", lambda v: build_grid(v, 1, RULE), 2),
     "build_grid-p": ("p", lambda v: build_grid(2, v, RULE), 2),
+    "CompositeGrid-n": ("n", lambda v: CompositeGrid(v, 1, RULE), 2),
+    "CompositeGrid-p": ("p", lambda v: CompositeGrid(2, v, RULE), 2),
     "PiecewiseLegendre-n": ("n", lambda v: PiecewiseLegendre(v, 1, np.zeros((1, 1))), 1),
     "PiecewiseLegendre-r": ("r", lambda v: PiecewiseLegendre(1, v, np.zeros((1, 1))), 1),
     "legendre_table": ("r", lambda v: legendre_table(v, 0.5), 2),
@@ -251,3 +289,38 @@ def test_size_caps_are_checked_by_the_one_integer_check(entry):
     call, cap = CAPPED[entry]
     with pytest.raises(DomainError, match=rf"must be in \[1, {cap}\], got {cap + 1}$"):
         call(cap + 1)
+
+
+def _level():
+    return LevelResult(
+        n=2,
+        p=1,
+        rho=2,
+        z_s=np.zeros(3),
+        eps_s=np.zeros(3),
+        order_s=(None,) * 3,
+        eps_ex=None,
+        order_ex=None,
+        residual_norms=(0.0,),
+        wall_time=0.0,
+    )
+
+
+# result class -> a factory; two calls build two instances of equal content
+RESULTS = {
+    "GridFunction": lambda: GridFunction(GRID, np.zeros(4)),
+    "PiecewiseLegendre": lambda: PiecewiseLegendre(1, 1, np.zeros((1, 1))),
+    "PointValues": lambda: PointValues(np.linspace(0, 1, 3), np.zeros(3)),
+    "NystromSolution": lambda: solve_nystrom(PROBLEM, GRID),
+    "GalerkinSolution": lambda: solve_discrete_galerkin(PROBLEM, 2, 1),
+    "LevelResult": _level,
+    "ConvergenceReport": lambda: ConvergenceReport(problem="rpk-aks", r=1, levels=(_level(),)),
+}
+
+
+@pytest.mark.parametrize("entry", list(RESULTS))
+def test_results_that_hold_arrays_compare_and_hash_by_identity(entry):
+    x, y = RESULTS[entry](), RESULTS[entry]()
+    assert x != y and x not in [y]
+    assert x == x and x in [x]
+    assert hash(x) == hash(x)
