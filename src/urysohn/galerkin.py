@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nystrom import (
-    GridFunction, _extension, _kernel_pieces, _newton, _NewtonTrace, _weighted_kernel_sum
+    GridFunction, _NewtonTrace, _blocks, _extension, _kernel_pieces, _newton, _weighted_kernel_sum
 )
 from .problems import UrysohnProblem, _factor_eval
 from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
@@ -95,13 +95,17 @@ def _jacobian(problem, grid, zvals, wb, n, r):
     block = grid.offsets.size
     if problem.factors is None:
         m_full = np.empty((n, r, n, r))
-        inner = np.empty((r, grid.node_count))  # eta x global node b
-        for j in range(n):
-            rows = grid.nodes[j * block : (j + 1) * block]
-            # one branch on the earlier and the later coarse blocks, both within block j
-            for c0, c1, piece in _kernel_pieces(problem, rows, grid.nodes, zvals, 1):
-                inner[:, c0:c1] = wb.T @ piece
-            m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, block), wb)
+
+        def share(coarse):
+            inner = np.empty((r, grid.node_count))  # eta x global node b
+            for j in coarse:
+                rows = grid.nodes[j * block : (j + 1) * block]
+                # one branch on the earlier and the later coarse blocks, both within block j
+                for c0, c1, piece in _kernel_pieces(problem, rows, grid.nodes, zvals, 1):
+                    inner[:, c0:c1] = wb.T @ piece
+                m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, block), wb)
+
+        _blocks(share, n, grid.node_count**2)
     else:
         blocks = []
         for s_part, t_part in _factor_eval(problem, grid.nodes, zvals, 1):

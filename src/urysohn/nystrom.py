@@ -19,12 +19,22 @@ from the natural extension of the solution on 64 panels: by mesh
 independence the coarse iterates track the fine ones, so that start lies in
 the fine solve's quadratic basin and the fine solve needs fewer of its
 O(N**2) kernel sweeps.
+
+Every O(N**2) kernel sweep (K_m and K_m' at points, the node residual and
+the Newton matrix, and the dense Galerkin matrix) runs in independent row
+blocks, which :func:`_blocks` shares out over all usable CPUs: a thread
+writes only the rows of its own blocks, and a block is computed by the same
+calls whichever thread runs it, so a result has the same bits at any worker
+count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +52,9 @@ _GMRES_RTOL = 1e-13  # GMRES stops at least-squares residual <= this * ||b||_2
 _COARSE_PANELS = 64  # panels of the grid whose solution starts a finer solve
 _TWO_GRID_FLOOR = 256  # grids of more panels than this start from _COARSE_PANELS
 
+_pool = None  # (process id, executor) of the row-block worker threads, made on first use
+_thread = threading.local()  # .worker is True in the pool's threads
+
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
@@ -58,6 +71,61 @@ class GridFunction:
         shape = (self.grid.node_count,)
         values = _frozen_array(self.values, shape, "values (one per node, node count)")
         object.__setattr__(self, "values", values)
+
+
+def _workers():
+    """Usable CPUs: the process's affinity set, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _mark_worker():
+    _thread.worker = True
+
+
+def _blocks(fn, count, entries):
+    """Run fn(share) over contiguous shares of the independent blocks range(count).
+
+    ``entries`` counts the kernel entries of all count blocks.  With w
+    usable CPUs the blocks are cut into min(w, count // 2) shares, so that a
+    share has at least two blocks, if a block has at least _PIECE entries on
+    average: in smaller blocks the Python work, which holds the GIL,
+    outweighs the numpy work that a second thread can overlap.  With fewer
+    than two shares, or in a worker thread (a pool task never waits on the
+    pool), fn(range(count)) runs in the calling thread.  Otherwise the
+    calling thread runs the first share and a pool of w - 1 worker threads
+    the others, each in a copy of the caller's context, so that
+    ``np.errstate`` holds there too.  The pool is made on the first such
+    call and again in a forked child.
+
+    Returns once every share has finished, so no call of fn outlives the
+    sweep; then raises the exception of the first share, in block order,
+    that raised.  fn must write only what its own blocks own.
+    """
+    global _pool
+    workers = _workers()
+    shares = min(workers, count // 2) if entries >= count * _PIECE else 1
+    if shares < 2 or getattr(_thread, "worker", False):
+        fn(range(count))
+        return
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = (os.getpid(), ThreadPoolExecutor(workers - 1, initializer=_mark_worker))
+    cuts = [count * i // shares for i in range(shares + 1)]
+    rest = [
+        _pool[1].submit(contextvars.copy_context().run, fn, range(a, b))
+        for a, b in zip(cuts[1:-1], cuts[2:])
+    ]
+    try:
+        fn(range(cuts[1]))
+    finally:
+        for future in rest:
+            future.exception()  # waits for the share without raising
+    for future in rest:
+        future.result()
 
 
 def _kernel_pieces(problem, s_rows, nodes, xvals, order):
@@ -88,19 +156,24 @@ def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None):
     The one path from points to K_m values: all points go through the blocks
     of _CHUNK in ascending order, so that a block needs both kernel branches
     only near the diagonal, and no value depends on the order of the points.
+    The blocks run through :func:`_blocks`, each share with its own rows.
     """
     s = np.asarray(s, dtype=float)
     flat = s.ravel()
     w = grid.node_weights if weight_extra is None else grid.node_weights * weight_extra
     perm = np.argsort(flat, kind="stable")
     out = np.empty(flat.size)
-    buf = np.empty((min(_CHUNK, flat.size), grid.node_count))
-    for a0 in range(0, flat.size, _CHUNK):
-        idx = perm[a0 : a0 + _CHUNK]
-        rows = buf[: idx.size]
-        for c0, c1, piece in _kernel_pieces(problem, flat[idx], grid.nodes, xvals, order):
-            rows[:, c0:c1] = piece
-        out[idx] = rows @ w
+
+    def share(blocks):
+        buf = np.empty((min(_CHUNK, flat.size), grid.node_count))
+        for block in blocks:
+            idx = perm[block * _CHUNK : (block + 1) * _CHUNK]
+            rows = buf[: idx.size]
+            for c0, c1, piece in _kernel_pieces(problem, flat[idx], grid.nodes, xvals, order):
+                rows[:, c0:c1] = piece
+            out[idx] = rows @ w
+
+    _blocks(share, -(-flat.size // _CHUNK), flat.size * grid.node_count)
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
@@ -344,14 +417,18 @@ def solve_nystrom(
     def residual(x):
         return x - _weighted_kernel_sum(problem, grid, x, grid.nodes, order=0) - f_nodes
 
+    jac = np.empty((n_nodes, n_nodes))  # the Newton matrix, rewritten by every step
+    neg_w = -grid.node_weights
+
     def newton_step(x, res):
         # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b)
-        jac = np.empty((n_nodes, n_nodes))
-        for a0 in range(0, n_nodes, _CHUNK):
-            a1 = min(a0 + _CHUNK, n_nodes)
-            for c0, c1, piece in _kernel_pieces(problem, grid.nodes[a0:a1], grid.nodes, x, 1):
-                jac[a0:a1, c0:c1] = piece
-        jac *= -grid.node_weights[None, :]
+        def rows(blocks):
+            for block in blocks:
+                a0, a1 = block * _CHUNK, min((block + 1) * _CHUNK, n_nodes)
+                for c0, c1, piece in _kernel_pieces(problem, grid.nodes[a0:a1], grid.nodes, x, 1):
+                    np.multiply(piece, neg_w[c0:c1], out=jac[a0:a1, c0:c1])
+
+        _blocks(rows, -(-n_nodes // _CHUNK), n_nodes * n_nodes)
         jac[np.diag_indices_from(jac)] += 1.0
         return _gmres(jac, -res)
 

@@ -1,11 +1,20 @@
 """Quadrature-discretized fixed-point solver (Newton iteration)."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from urysohn import (
     ConvergenceError,
     DomainError,
+    EvaluationError,
     GridFunction,
     SingularOperatorError,
     UrysohnProblem,
@@ -13,12 +22,16 @@ from urysohn import (
     build_grid,
     gauss_rule,
     get_problem,
+    iterated_eval,
     kernel_eval,
     km_prime_apply,
     residual_check,
+    solve_discrete_galerkin,
     solve_nystrom,
 )
 from urysohn import nystrom
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def builtin_grid(m, rho=2):
@@ -331,12 +344,13 @@ def test_km_evaluates_each_kernel_branch_only_on_its_own_side():
     # Each branch counts the entries it is evaluated on.  Evaluating both
     # branches everywhere costs 2 N**2; the row blocks may only add a band
     # of about one block (128 rows) around the diagonal to N**2.
-    evaluated = {"lower": 0, "upper": 0}
+    # The sweep runs in several threads: each appends its sizes, summed after.
+    sizes = {"lower": [], "upper": []}
 
     def branch(side):
         def kappa(s, t, u):
             shape = np.broadcast(s, t, u).shape
-            evaluated[side] += int(np.prod(shape))
+            sizes[side].append(int(np.prod(shape)))
             return np.sin(np.broadcast_to(u, shape) + s - t)
 
         return kappa
@@ -352,6 +366,7 @@ def test_km_evaluates_each_kernel_branch_only_on_its_own_side():
     grid = builtin_grid(300)
     n = grid.node_count
     apply_km(pb, GridFunction(grid, np.ones(n)), grid.nodes)
+    evaluated = {side: sum(counts) for side, counts in sizes.items()}
     total = evaluated["lower"] + evaluated["upper"]
     assert n * n <= total <= n * n + n * 128
 
@@ -471,18 +486,243 @@ def test_two_grid_solve_evaluates_the_closed_form_kernel_count(monkeypatch):
     grid = builtin_grid(300)
     coarse = coarse_start_grid(grid)
     iters_c = solve_nystrom(pb, coarse).newton_iterations
-    evaluated = {0: 0, 1: 0}
+    sizes = {0: [], 1: []}  # appended from several threads, summed after
     kernel = nystrom.kernel_eval
 
     def counting(problem, s, t, u, order):
         out = kernel(problem, s, t, u, order)
-        evaluated[order] += out.size
+        sizes[order].append(out.size)
         return out
 
     monkeypatch.setattr(nystrom, "kernel_eval", counting)
     iters = solve_nystrom(pb, grid).newton_iterations
+    evaluated = {order: sum(counts) for order, counts in sizes.items()}
     n, n_c = grid.node_count, coarse.node_count
     assert evaluated == {
         0: iters_c * n_c**2 + n * n_c + iters * n**2,
         1: (iters_c - 1) * n_c**2 + (iters - 1) * n**2,
     }
+
+
+# Row blocks in parallel: the sweeps share their blocks out over all usable
+# CPUs, and nothing but the wall time may depend on how many there are.
+
+def usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+needs_two_cpus = pytest.mark.skipif(
+    usable_cpus() < 2, reason="the row blocks run in parallel only with 2 or more usable CPUs"
+)
+
+
+def run_child(script, *args, timeout, **env):
+    """Run a Python script that imports urysohn from this checkout; fail on any error."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        check=True,
+        capture_output=True,
+        timeout=timeout,
+    )
+
+
+def sine_problem(branch, branch_du=None):
+    branch_du = branch if branch_du is None else branch_du
+    return UrysohnProblem(
+        name="sine",
+        kappa_lower=branch,
+        kappa_upper=branch,
+        kappa_lower_du=branch_du,
+        kappa_upper_du=branch_du,
+        f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+    )
+
+
+_CPUS_SCRIPT = """
+import os, sys
+if sys.argv[2] == "pinned":  # before urysohn or numpy count the CPUs
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import dataclasses
+import numpy as np
+from urysohn import (
+    GridFunction, apply_km, build_grid, gauss_rule, get_problem, iterated_eval,
+    km_prime_apply, solve_discrete_galerkin, solve_nystrom,
+)
+pb = get_problem("rpk-aks")
+out = {"cpus": np.array(len(os.sched_getaffinity(0)))}
+for m in (20, 300):
+    sol = solve_nystrom(pb, build_grid(m, 1, gauss_rule(2)))
+    out[f"nodes-{m}"] = sol.node_values.values
+    out[f"trace-{m}"] = np.array(sol.residual_norms)
+rng = np.random.default_rng(7)
+pts = rng.random(2000)
+v = GridFunction(sol.grid, rng.normal(size=sol.grid.node_count))
+out["apply_km"] = apply_km(pb, sol.node_values, pts)
+out["km_prime_apply"] = km_prime_apply(pb, sol.node_values, v, pts)
+dense = solve_discrete_galerkin(dataclasses.replace(pb, factors=None), 30, 1)
+out["coeffs"] = dense.z_g.coeffs
+out["z_s"] = iterated_eval(dense, dense.grid.partition_points)
+np.savez(sys.argv[1], **out)
+"""
+
+
+@needs_two_cpus
+def test_results_do_not_depend_on_the_cpu_or_blas_thread_count(tmp_path):
+    results = {}
+    for cpus in ("pinned", "all"):
+        for threads in ("1", "2"):
+            out = tmp_path / f"{cpus}-{threads}.npz"
+            run_child(_CPUS_SCRIPT, str(out), cpus, timeout=120, OPENBLAS_NUM_THREADS=threads)
+            with np.load(out) as data:
+                results[cpus, threads] = {key: data[key] for key in data.files}
+    assert results["pinned", "1"].pop("cpus") == 1
+    ref = results.pop(("pinned", "1"))
+    assert len(ref) == 8
+    for run, arrays in results.items():
+        assert (arrays.pop("cpus") == 1) == (run[0] == "pinned")
+        for key, values in ref.items():
+            assert np.array_equal(values, arrays[key]), (run, key)
+
+
+_NESTED_SCRIPT = """
+import numpy as np
+from urysohn import GridFunction, UrysohnProblem, apply_km, build_grid, gauss_rule
+grid = build_grid(300, 1, gauss_rule(2))
+ones = GridFunction(grid, np.ones(grid.node_count))
+pts = np.linspace(0.0, 1.0, 2000)
+
+def sine(s, t, u):
+    return np.sin(np.broadcast_to(u, np.broadcast(s, t, u).shape) + s - t)
+
+inner = UrysohnProblem("inner", sine, sine, sine, sine, f=np.cos)
+
+def outer(s, t, u):  # a kernel that runs a sweep of its own, also on a worker
+    return sine(s, t, u) * float(np.mean(apply_km(inner, ones, pts)))
+
+km = apply_km(UrysohnProblem("outer", outer, outer, outer, outer, f=np.cos), ones, pts)
+assert np.all(np.isfinite(km))
+"""
+
+
+@needs_two_cpus
+def test_a_kernel_that_runs_a_sweep_itself_does_not_deadlock_the_pool():
+    run_child(_NESTED_SCRIPT, timeout=60)
+
+
+def _solve_400_panels():
+    solve_nystrom(get_problem("rpk-aks"), builtin_grid(400))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+def test_a_forked_child_solves_after_a_parallel_sweep():
+    grid = builtin_grid(400)
+    apply_km(get_problem("rpk-aks"), GridFunction(grid, np.ones(grid.node_count)), grid.nodes)
+    child = multiprocessing.get_context("fork").Process(target=_solve_400_panels)
+    with warnings.catch_warnings():  # forking a process with threads is what is tested
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    child.join(60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("bad", [lambda s: s > 0.9, lambda s: s < 0.1], ids=["last", "first"])
+def test_a_kernel_failure_in_a_parallel_sweep_raises_the_kernel_error(bad):
+    # NaN only in the last share (a worker's) or only in the first (the
+    # calling thread's); either way no kernel call is left running.
+    lock = threading.Lock()
+    running = [0]
+
+    def nan_where_bad(s, t, u):
+        with lock:
+            running[0] += 1
+        shape = np.broadcast(s, t, u).shape
+        out = np.where(bad(s), np.nan, np.sin(np.broadcast_to(u, shape) + s - t))
+        with lock:
+            running[0] -= 1
+        return out
+
+    pb = sine_problem(nan_where_bad)
+    grid = builtin_grid(300)
+    x = GridFunction(grid, np.ones(grid.node_count))
+    with pytest.raises(EvaluationError, match="non-finite"):
+        apply_km(pb, x, np.linspace(0.0, 1.0, 2000))
+    assert running == [0]
+    with pytest.raises(EvaluationError, match="non-finite"):
+        solve_nystrom(pb, grid)
+    assert running == [0]
+    sol = solve_nystrom(get_problem("rpk-aks"), grid)
+    assert sol.final_residual_norm <= 1e-12
+
+
+def test_parallel_sweeps_keep_the_callers_errstate():
+    def log_zero(s, t, u):  # log(0) = -inf warns unless the caller ignores it
+        shape = np.broadcast(s, t, u).shape
+        return np.sin(np.broadcast_to(u, shape) + s - t) + np.exp(np.log(0.0 * s))
+
+    grid = builtin_grid(300)
+    x = GridFunction(grid, np.ones(grid.node_count))
+    with np.errstate(divide="ignore"):
+        km = apply_km(sine_problem(log_zero), x, np.linspace(0.0, 1.0, 2000))
+    assert np.all(np.isfinite(km))
+
+
+def test_small_sweeps_call_the_kernel_only_from_the_calling_thread():
+    threads = set()
+
+    def recorded(fn):
+        def branch(s, t, u):
+            threads.add(threading.get_ident())
+            shape = np.broadcast(s, t, u).shape
+            return 0.5 * fn(np.broadcast_to(u, shape) + s - t)
+
+        return branch
+
+    pb = sine_problem(recorded(np.sin), recorded(np.cos))
+    solve_nystrom(pb, builtin_grid(20))
+    assert threads == {threading.get_ident()}
+    sol = solve_discrete_galerkin(pb, 40, 1, p=1)
+    threads.clear()
+    assert iterated_eval(sol, sol.grid.partition_points).shape == (41,)
+    assert threads == {threading.get_ident()}
+    if usable_cpus() >= 2:  # a wide enough sweep runs on the workers too
+        grid = builtin_grid(300)
+        apply_km(pb, GridFunction(grid, np.ones(grid.node_count)), np.linspace(0.0, 1.0, 2000))
+        assert len(threads) >= 2
+
+
+def test_more_shares_than_cores_under_a_short_switch_interval_give_the_serial_bits(
+    crossing_problem, monkeypatch
+):
+    pb = crossing_problem
+    grid = builtin_grid(300)
+    rng = np.random.default_rng(2)
+    x = GridFunction(grid, 1.0 + 0.5 * np.cos(7.0 * grid.nodes))
+    pts = rng.random(3000)
+
+    def run():
+        km = apply_km(pb, x, pts)
+        sol = solve_nystrom(pb, grid, initial=pb.f)
+        dense = solve_discrete_galerkin(pb, 30, 1)
+        return km, sol.node_values.values, np.array(sol.residual_norms), dense.z_g.coeffs
+
+    monkeypatch.setattr(nystrom, "_workers", lambda: 1)
+    serial = run()
+    monkeypatch.setattr(nystrom, "_workers", lambda: 8)
+    monkeypatch.setattr(nystrom, "_pool", None)  # a pool of 7 threads, 8 shares
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = run()
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, shared):
+        assert np.array_equal(a, b)
