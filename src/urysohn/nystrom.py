@@ -25,7 +25,9 @@ the Newton matrix, and the dense Galerkin matrix) runs in independent row
 blocks, which :func:`_blocks` shares out over all usable CPUs: a thread
 writes only the rows of its own blocks, and a block is computed by the same
 calls whichever thread runs it, so a result has the same bits at any worker
-count.
+count.  Each parallel sweep makes its own thread pool and joins it before
+it returns, so no thread outlives a sweep and a fork needs no handling; a
+sweep started inside a share runs serially.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import contextvars
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,7 @@ _GMRES_RTOL = 1e-13  # GMRES stops at least-squares residual <= this * ||b||_2
 _COARSE_PANELS = 64  # panels of the grid whose solution starts a finer solve
 _TWO_GRID_FLOOR = 256  # grids of more panels than this start from _COARSE_PANELS
 
-_pool = None  # (process id, executor) of the row-block worker threads, made on first use
-_thread = threading.local()  # .worker is True in the pool's threads
+_in_share = contextvars.ContextVar("_in_share", default=False)  # True inside a sweep's share
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +81,9 @@ def _workers():
         return os.cpu_count() or 1
 
 
-def _mark_worker():
-    _thread.worker = True
+def _share(fn, blocks):
+    _in_share.set(True)  # in this share's own context copy: a sweep it starts runs serially
+    fn(blocks)
 
 
 def _blocks(fn, count, entries):
@@ -93,37 +94,30 @@ def _blocks(fn, count, entries):
     share has at least two blocks, if a block has at least _PIECE entries on
     average: in smaller blocks the Python work, which holds the GIL,
     outweighs the numpy work that a second thread can overlap.  With fewer
-    than two shares, or in a worker thread (a pool task never waits on the
-    pool), fn(range(count)) runs in the calling thread.  Otherwise the
-    calling thread runs the first share and a pool of w - 1 worker threads
-    the others, each in a copy of the caller's context, so that
-    ``np.errstate`` holds there too.  The pool is made on the first such
-    call and again in a forked child.
+    than two shares, or inside a share of another sweep, fn(range(count))
+    runs in the calling thread.  Otherwise the calling thread runs the first
+    share and the shares - 1 threads of a pool made for this sweep run the
+    others, each share in a copy of the caller's context, so that
+    ``np.errstate`` holds there too.
 
-    Returns once every share has finished, so no call of fn outlives the
-    sweep; then raises the exception of the first share, in block order,
-    that raised.  fn must write only what its own blocks own.
+    Returns once every share has finished and the pool's threads have
+    ended, so no call of fn outlives the sweep; then raises the exception
+    of the first share, in block order, that raised.  fn must write only
+    what its own blocks own.
     """
-    global _pool
-    workers = _workers()
-    shares = min(workers, count // 2) if entries >= count * _PIECE else 1
-    if shares < 2 or getattr(_thread, "worker", False):
+    shares = min(_workers(), count // 2) if entries >= count * _PIECE else 1
+    if shares < 2 or _in_share.get():
         fn(range(count))
         return
-    if _pool is None or _pool[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        _pool = (os.getpid(), ThreadPoolExecutor(workers - 1, initializer=_mark_worker))
     cuts = [count * i // shares for i in range(shares + 1)]
-    rest = [
-        _pool[1].submit(contextvars.copy_context().run, fn, range(a, b))
-        for a, b in zip(cuts[1:-1], cuts[2:])
-    ]
-    try:
-        fn(range(cuts[1]))
-    finally:
-        for future in rest:
-            future.exception()  # waits for the share without raising
+    with ThreadPoolExecutor(shares - 1) as pool:
+        rest = [
+            pool.submit(contextvars.copy_context().run, _share, fn, range(a, b))
+            for a, b in zip(cuts[1:-1], cuts[2:])
+        ]
+        contextvars.copy_context().run(_share, fn, range(cuts[1]))
     for future in rest:
         future.result()
 

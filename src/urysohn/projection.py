@@ -121,11 +121,12 @@ def evaluate_piecewise(pl: PiecewiseLegendre, s):
     """Evaluate a PiecewiseLegendre at points s in [0, 1].
 
     Interior partition points take the value from the left subinterval;
-    a small tolerance absorbs floating-point noise in s*n near integers.
+    a tolerance of a few ulps of n absorbs the rounding of s*n at a
+    partition point computed as j/n, j*(1/n) or by np.linspace.
     """
     s_arr = _unit_points(s)
     u = s_arr * pl.n
-    idx = np.clip(np.ceil(u - 1e-9).astype(int) - 1, 0, pl.n - 1)
+    idx = np.clip(np.ceil(u - 4 * np.finfo(float).eps * pl.n).astype(int) - 1, 0, pl.n - 1)
     rel = np.clip(u - idx, 0.0, 1.0)
     ltab = legendre_table(pl.r, rel)  # (r,) + s.shape
     out = np.sqrt(pl.n) * np.einsum("...e,e...->...", pl.coeffs[idx], ltab)

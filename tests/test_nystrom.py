@@ -587,6 +587,7 @@ def test_results_do_not_depend_on_the_cpu_or_blas_thread_count(tmp_path):
 
 
 _NESTED_SCRIPT = """
+import threading
 import numpy as np
 from urysohn import GridFunction, UrysohnProblem, apply_km, build_grid, gauss_rule
 grid = build_grid(300, 1, gauss_rule(2))
@@ -596,10 +597,17 @@ pts = np.linspace(0.0, 1.0, 2000)
 def sine(s, t, u):
     return np.sin(np.broadcast_to(u, np.broadcast(s, t, u).shape) + s - t)
 
-inner = UrysohnProblem("inner", sine, sine, sine, sine, f=np.cos)
-
 def outer(s, t, u):  # a kernel that runs a sweep of its own, also on a worker
-    return sine(s, t, u) * float(np.mean(apply_km(inner, ones, pts)))
+    seen = set()
+
+    def recorded(s, t, u):
+        seen.add(threading.get_ident())
+        return sine(s, t, u)
+
+    inner = UrysohnProblem("inner", recorded, recorded, recorded, recorded, f=np.cos)
+    value = float(np.mean(apply_km(inner, ones, pts)))
+    assert seen == {threading.get_ident()}, "the inner sweep left its share's thread"
+    return sine(s, t, u) * value
 
 km = apply_km(UrysohnProblem("outer", outer, outer, outer, outer, f=np.cos), ones, pts)
 assert np.all(np.isfinite(km))
@@ -609,6 +617,11 @@ assert np.all(np.isfinite(km))
 @needs_two_cpus
 def test_a_kernel_that_runs_a_sweep_itself_does_not_deadlock_the_pool():
     run_child(_NESTED_SCRIPT, timeout=60)
+
+
+def test_importing_the_package_leaves_the_thread_pool_module_unloaded():
+    # the first parallel sweep imports it, so a run without one never pays for it
+    run_child("import sys, urysohn; assert 'concurrent.futures' not in sys.modules", timeout=60)
 
 
 def _solve_400_panels():
@@ -697,6 +710,8 @@ def test_small_sweeps_call_the_kernel_only_from_the_calling_thread():
         grid = builtin_grid(300)
         apply_km(pb, GridFunction(grid, np.ones(grid.node_count)), np.linspace(0.0, 1.0, 2000))
         assert len(threads) >= 2
+        alive = {thread.ident for thread in threading.enumerate()}
+        assert threads & alive == {threading.get_ident()}  # no worker outlives the sweep
 
 
 def test_more_shares_than_cores_under_a_short_switch_interval_give_the_serial_bits(
@@ -717,7 +732,6 @@ def test_more_shares_than_cores_under_a_short_switch_interval_give_the_serial_bi
     monkeypatch.setattr(nystrom, "_workers", lambda: 1)
     serial = run()
     monkeypatch.setattr(nystrom, "_workers", lambda: 8)
-    monkeypatch.setattr(nystrom, "_pool", None)  # a pool of 7 threads, 8 shares
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

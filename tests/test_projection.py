@@ -155,6 +155,15 @@ def test_piecewise_evaluation_left_limit_at_partition_points():
     np.testing.assert_allclose(vals, np.array([0.0, 1.0, 2.0]) * np.sqrt(n), atol=1e-14)
     assert pl(0.0) == pytest.approx(0.0)
     assert pl(1.0) == pytest.approx(3.0 * np.sqrt(n))
+    # partition points however computed still take the left value, and a
+    # point just right of a breakpoint, though within 1e-9/n, the right one
+    for n in (2, 3, 7, 10, 49, 1000, 3000):
+        pl = PiecewiseLegendre(n, 1, np.arange(n, dtype=float).reshape(n, 1))
+        j = np.arange(1, n + 1)
+        for points in (j / n, j * (1 / n), np.linspace(0.0, 1.0, n + 1)[1:]):
+            np.testing.assert_array_equal(pl(points), (j - 1) * np.sqrt(n))
+    pl = PiecewiseLegendre(2, 1, np.array([[1.0], [3.0]]))
+    assert pl(0.5 + 1e-10) == 3.0 * np.sqrt(2)
 
 
 def test_piecewise_coeffs_are_validated_and_frozen():
