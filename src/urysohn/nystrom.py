@@ -10,10 +10,12 @@ The kernel is evaluated with the correct branch on each side of t = s via
 :func:`urysohn.problems.kernel_eval`, which is what limits the attainable
 accuracy to O(fine_h**2): the diagonal kink sits inside quadrature panels.
 
-Newton's method solves with the assembled Jacobian I - K_m'(x) by GMRES:
-for a Green's-function-type kernel that matrix is a compact perturbation
-of the identity, so the GMRES iteration count does not grow with the node
-count, and its worst case, a full Krylov space, costs O(N**3) like an LU.
+Newton's method solves with the Jacobian I - K_m'(x) by GMRES: K_m'(x) is
+compact for a Green's-function-type kernel, so the GMRES iteration count
+does not grow with the node count, and its worst case, a full Krylov space,
+costs O(N**3) like an LU.  K_m'(x) alone is stored, in float32; GMRES adds
+I exactly and works in float64, and the float64 node residual decides
+convergence (Kelley, "Newton's method in mixed precision", SIAM Rev. 2022).
 On a grid of more than 256 panels Newton starts, unless told otherwise,
 from the natural extension of the solution on 64 panels: by mesh
 independence the coarse iterates track the fine ones, so that start lies in
@@ -21,7 +23,7 @@ the fine solve's quadratic basin and the fine solve needs fewer of its
 O(N**2) kernel sweeps.
 
 Every O(N**2) kernel sweep (K_m and K_m' at points, the node residual and
-the Newton matrix, and the dense Galerkin matrix) runs in independent row
+the Newton operator, and the dense Galerkin matrix) runs in independent row
 blocks, which :func:`_blocks` shares out over all usable CPUs: a thread
 writes only the rows of its own blocks, and a block is computed by the same
 calls whichever thread runs it, so a result has the same bits at any worker
@@ -40,13 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularOperatorError
+from .errors import ConvergenceError, EvaluationError, SingularOperatorError
 from .problems import UrysohnProblem, kernel_eval
 from .quadrature import CompositeGrid, _count, _frozen_array, _unit_points, build_grid, values_on
 
 __all__ = ["GridFunction", "apply_km", "km_prime_apply", "solve_nystrom", "NystromSolution"]
 
-_MAX_NODES = 5000  # bounds the assembled Jacobian, 8 * N**2 bytes
+_MAX_NODES = 5000  # bounds the assembled float32 K_m'(x), 4 * N**2 bytes
 _CHUNK = 128  # points per row block of K_m and of the Nystrom Jacobian
 _PIECE = 1 << 16  # kernel entries per kernel_eval call
 _GMRES_RTOL = 1e-13  # GMRES stops at least-squares residual <= this * ||b||_2
@@ -200,8 +202,8 @@ def _extension(problem: UrysohnProblem, x: GridFunction, s):
     return float(out) if s.ndim == 0 else out
 
 
-def _gmres(a, b):
-    """Solve a @ x = b by unrestarted GMRES from x = 0.
+def _gmres(matvec, b):
+    """Solve A x = b by unrestarted GMRES from x = 0; matvec(v) returns A v, a new array.
 
     Arnoldi builds the Krylov basis one row at a time, in an array grown on
     demand, and orthogonalises each new vector by two classical Gram-Schmidt
@@ -223,7 +225,7 @@ def _gmres(a, b):
     basis[0] = b / beta
     k = 0
     while True:
-        w = a @ basis[k]
+        w = matvec(basis[k])
         h = np.zeros(k + 1)
         for _ in range(2):
             c = basis[: k + 1] @ w
@@ -346,12 +348,13 @@ def solve_nystrom(
     max_iter: int = 50,
     initial=None,
 ) -> NystromSolution:
-    """Solve the Nystrom equation by Newton-GMRES on the assembled Jacobian.
+    """Solve the Nystrom equation by Newton-GMRES on the assembled K_m'(x).
 
-    Each Newton step assembles I - K_m'(x) at the nodes and solves with it
-    by GMRES, which for these kernels converges in a few iterations whatever
-    the node count; its worst case, a full Krylov space, is O(N**3) like a
-    dense LU.
+    Each Newton step assembles K_m'(x) at the nodes in float32 and solves
+    with I - K_m'(x) by float64 GMRES, which for these kernels converges in a
+    few iterations whatever the node count; its worst case, a full Krylov
+    space, is O(N**3) like a dense LU.  The float32 rounding moves only the
+    steps: the float64 node residual still has to meet ``tol``.
 
     Without ``initial``, a grid of more than 256 panels (``grid.n *
     grid.p``) is started from the solution on 64 panels of the same basic
@@ -365,7 +368,7 @@ def solve_nystrom(
     problem : UrysohnProblem
     grid : CompositeGrid
         Node count m*rho must not exceed 5000, which bounds the assembled
-        Jacobian's 8*N**2 bytes.
+        float32 K_m'(x)'s 4*N**2 bytes.
     tol : float
         Convergence threshold on the sup norm of the node residual
         x - K_m(x) - f; finite and > 0.
@@ -385,11 +388,14 @@ def solve_nystrom(
     SingularOperatorError
         If I - K_m'(x) is numerically singular at some iterate, or if
         ``tol`` is below the rounding floor eps*max|x| of the iterate.
+    EvaluationError
+        If the kernel returns non-finite values, or a W_b*dk/du entry is
+        beyond the float32 range of the assembled K_m'(x).
     ValueError
         If ``tol``, ``max_iter``, ``initial`` or the node count is out of
         range, before any kernel evaluation.
     """
-    n_nodes = _count(grid.node_count, "nodes N (the Jacobian takes 8*N**2 bytes)", hi=_MAX_NODES)
+    n_nodes = _count(grid.node_count, "nodes N (the Jacobian takes 4*N**2 bytes)", hi=_MAX_NODES)
 
     f_nodes = values_on(problem.f, grid.nodes)
     if initial is None and grid.n * grid.p > _TWO_GRID_FLOOR:
@@ -411,20 +417,25 @@ def solve_nystrom(
     def residual(x):
         return x - _weighted_kernel_sum(problem, grid, x, grid.nodes, order=0) - f_nodes
 
-    jac = np.empty((n_nodes, n_nodes))  # the Newton matrix, rewritten by every step
-    neg_w = -grid.node_weights
+    a = np.empty((n_nodes, n_nodes), dtype=np.float32)  # K_m'(x), rewritten by every step
+    w = grid.node_weights
 
     def newton_step(x, res):
-        # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b)
+        # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b), rounded once to float32
         def rows(blocks):
             for block in blocks:
                 a0, a1 = block * _CHUNK, min((block + 1) * _CHUNK, n_nodes)
                 for c0, c1, piece in _kernel_pieces(problem, grid.nodes[a0:a1], grid.nodes, x, 1):
-                    np.multiply(piece, neg_w[c0:c1], out=jac[a0:a1, c0:c1])
+                    try:
+                        with np.errstate(over="raise"):
+                            np.multiply(piece, w[c0:c1], out=a[a0:a1, c0:c1])
+                    except FloatingPointError:
+                        raise EvaluationError(
+                            f"W*dk/du of {problem.name!r} overflows the float32 Newton operator"
+                        ) from None
 
         _blocks(rows, -(-n_nodes // _CHUNK), n_nodes * n_nodes)
-        jac[np.diag_indices_from(jac)] += 1.0
-        return _gmres(jac, -res)
+        return _gmres(lambda v: v - a @ v.astype(np.float32), -res)
 
     x, trace = _newton(
         x0,

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -320,24 +321,57 @@ def test_apply_km_matches_dense_reference_bit_for_bit(crossing_problem):
 def test_nystrom_jacobian_matches_dense_reference_bit_for_bit(crossing_problem, monkeypatch):
     pb = crossing_problem
     grid = builtin_grid(150)  # 300 nodes: three row blocks
-    matrices = []
+    n = grid.node_count
+    operators = []
     gmres = nystrom._gmres
 
-    def spy(a, b):
-        matrices.append(a.copy())
-        return gmres(a, b)
+    def spy(matvec, b):
+        # on the identity the float32 product A @ I is A itself, so this is
+        # I - A with the float64 subtraction the reference below makes
+        operators.append(matvec(np.eye(n)))
+        return gmres(matvec, b)
 
     monkeypatch.setattr(nystrom, "_gmres", spy)
     solve_nystrom(pb, grid)
-    assert matrices
+    assert operators
 
     # the first Newton step linearises at the default start, f at the nodes
     s, t = grid.nodes[:, None], grid.nodes[None, :]
     x0 = pb.f(grid.nodes)[None, :]
     ref = dense_kernel(pb.kappa_lower_du, pb.kappa_upper_du, s, t, x0)
-    ref *= -grid.node_weights[None, :]
-    ref[np.diag_indices_from(ref)] += 1.0
-    np.testing.assert_array_equal(matrices[0], ref)
+    ref = (ref * grid.node_weights[None, :]).astype(np.float32)  # the stored operator
+    np.testing.assert_array_equal(operators[0], np.eye(n) - ref)
+
+
+def test_newton_operator_beyond_the_float32_range_is_an_evaluation_error():
+    # W_b * dk/du = 1.25e39 is finite in float64 but not in float32
+    big = lambda s, t, u: np.full(np.broadcast(s, t, u).shape, 1e40)
+    pb = UrysohnProblem(
+        name="huge-derivative",
+        kappa_lower=lambda s, t, u: 1e40 * np.broadcast_to(u, np.broadcast(s, t, u).shape),
+        kappa_upper=lambda s, t, u: 1e40 * np.broadcast_to(u, np.broadcast(s, t, u).shape),
+        kappa_lower_du=big,
+        kappa_upper_du=big,
+        f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+    )
+    with pytest.raises(EvaluationError, match="float32 Newton operator"):
+        solve_nystrom(pb, builtin_grid(4))
+
+
+def test_newton_stores_no_float64_node_matrix():
+    # A float64 N x N array alone takes 8 N**2 bytes; the float32 K_m'(x)
+    # takes 4 N**2.  The default start also solves on the coarse grid.
+    pb = get_problem("rpk-aks")
+    grid = builtin_grid(1000)
+    n = grid.node_count
+    tracemalloc.start()
+    try:
+        solve_nystrom(pb, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 2000
+    assert peak < 8 * n**2, f"peak allocation {peak / n**2:.1f} N**2 bytes"
 
 
 def test_km_evaluates_each_kernel_branch_only_on_its_own_side():
@@ -379,7 +413,7 @@ def test_gmres_agrees_with_a_dense_solve():
     non_normal = 2.0 * np.eye(n) + np.triu(rng.normal(size=(n, n)), 1)
     b = rng.normal(size=n)
     for a in (well, non_normal):
-        x = nystrom._gmres(a, b)
+        x = nystrom._gmres(lambda v: a @ v, b)
         ref = np.linalg.solve(a, b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -398,17 +432,17 @@ def test_gmres_returns_the_exact_solution_at_the_full_krylov_dimension(monkeypat
     shift = np.roll(np.eye(50), 1, axis=0)
     b = np.zeros(50)
     b[0] = 1.0
-    np.testing.assert_array_equal(nystrom._gmres(shift, b), np.eye(50)[-1])
+    np.testing.assert_array_equal(nystrom._gmres(lambda v: shift @ v, b), np.eye(50)[-1])
     # diag(1..50): 50 distinct eigenvalues; the residual reaches rtol * |b|
     # only a few dimensions short of 50
     d = np.arange(1.0, 51.0)
-    x = nystrom._gmres(np.diag(d), np.ones(50))
+    x = nystrom._gmres(lambda v: np.diag(d) @ v, np.ones(50))
     np.testing.assert_allclose(x, 1.0 / d, rtol=1e-12, atol=0)
     assert sizes[0] == (50, 50) and sizes[1][0] >= 45
 
 
 def test_gmres_returns_zeros_for_a_zero_right_hand_side():
-    x = nystrom._gmres(np.eye(5) + 1.0, np.zeros(5))
+    x = nystrom._gmres(lambda v: (np.eye(5) + 1.0) @ v, np.zeros(5))
     np.testing.assert_array_equal(x, np.zeros(5))
 
 
@@ -416,18 +450,35 @@ def test_gmres_raises_on_a_singular_matrix_with_b_outside_its_range():
     # I - ones/4 maps ones to 0 and has range ones-perp; b = ones is not in it
     a = np.eye(4) - 0.25
     with pytest.raises(np.linalg.LinAlgError):
-        nystrom._gmres(a, np.ones(4))
+        nystrom._gmres(lambda v: a @ v, np.ones(4))
+
+
+def dense_lu_newton(pb, grid, tol=1e-12):
+    """Newton on the node values with the float64 matrix I - K_m'(x) and a
+    dense LU, from solve_nystrom's default start: (node values, iterations)."""
+    nodes, w = grid.nodes, grid.node_weights
+    f = pb.f(nodes)
+    x = f
+    if grid.n * grid.p > 256:  # natural extension of the 64-panel solution
+        coarse = build_grid(64, 1, grid.rule)
+        x = f + apply_km(pb, GridFunction(coarse, dense_lu_newton(pb, coarse, tol)[0]), nodes)
+    for iterations in range(1, 51):
+        res = x - apply_km(pb, GridFunction(grid, x), nodes) - f
+        if np.max(np.abs(res)) <= tol:
+            return x, iterations
+        a = kernel_eval(pb, nodes[:, None], nodes[None, :], x[None, :], 1) * w
+        x = x + np.linalg.solve(np.eye(nodes.size) - a, -res)
+    raise AssertionError(f"the dense LU Newton reference did not reach tol={tol}")
 
 
 @pytest.mark.parametrize("problem, m", [("rpk-aks", 400), ("crossing", 150)])
-def test_nystrom_gmres_matches_a_dense_lu_solve(crossing_problem, monkeypatch, problem, m):
+def test_nystrom_gmres_matches_a_dense_lu_solve(crossing_problem, problem, m):
     pb = crossing_problem if problem == "crossing" else get_problem(problem)
     grid = builtin_grid(m)
     sol = solve_nystrom(pb, grid)
-    monkeypatch.setattr(nystrom, "_gmres", np.linalg.solve)  # the dense LU reference
-    ref = solve_nystrom(pb, grid)
-    assert sol.newton_iterations == ref.newton_iterations
-    x, x_ref = sol.node_values.values, ref.node_values.values
+    x_ref, iterations = dense_lu_newton(pb, grid)
+    assert sol.newton_iterations == iterations
+    x = sol.node_values.values
     assert np.max(np.abs(x - x_ref) / np.abs(x_ref)) <= 1e-14
 
 
@@ -552,7 +603,7 @@ from urysohn import (
 )
 pb = get_problem("rpk-aks")
 out = {"cpus": np.array(len(os.sched_getaffinity(0)))}
-for m in (20, 300):
+for m in (20, 300, 1500):
     sol = solve_nystrom(pb, build_grid(m, 1, gauss_rule(2)))
     out[f"nodes-{m}"] = sol.node_values.values
     out[f"trace-{m}"] = np.array(sol.residual_norms)
@@ -579,7 +630,7 @@ def test_results_do_not_depend_on_the_cpu_or_blas_thread_count(tmp_path):
                 results[cpus, threads] = {key: data[key] for key in data.files}
     assert results["pinned", "1"].pop("cpus") == 1
     ref = results.pop(("pinned", "1"))
-    assert len(ref) == 8
+    assert len(ref) == 10
     for run, arrays in results.items():
         assert (arrays.pop("cpus") == 1) == (run[0] == "pinned")
         for key, values in ref.items():
