@@ -20,8 +20,8 @@ a(s) * beta(t, u)).  Then K_m at the sorted nodes is one inclusive prefix
 sum (t <= s, ties to the lower branch as in ``kernel_eval``) and one
 exclusive suffix sum, an off-diagonal Jacobian block is the product of two
 (r, rank) matrices, and a diagonal block comes from prefix sums within the
-block: O(N * r**2 * rank) + (n*r)**2 per step, plus the (n*r)**3 LU.  The
-iterated solution z_S is evaluated densely either way.
+block: O(N * r**2 * rank) + (n*r)**2 per step, plus the (n*r)**3 LU.  Its
+z_S at M points then takes O((N + M) * rank + M log N) instead of M*N.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nystrom import (
-    GridFunction, _NewtonTrace, _blocks, _extension, _kernel_pieces, _newton, _weighted_kernel_sum
+    GridFunction, _NewtonTrace, _blocks, _extension, _factored_km, _kernel_pieces, _newton,
+    _weighted_kernel_sum,
 )
-from .problems import UrysohnProblem, _factor_eval
+from .problems import UrysohnProblem, _check_finite, _side_products
 from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
 from .quadrature import CompositeGrid, _count, build_grid, gauss_rule, values_on
 
@@ -81,15 +82,6 @@ def _suffix(values, axis=0):
     return out
 
 
-def _km_at_nodes(problem, grid, zvals):
-    """K_m(z) at the grid nodes: from the factors when the problem declares them."""
-    if problem.factors is None:
-        return _weighted_kernel_sum(problem, grid, zvals, grid.nodes, order=0)
-    (a, beta), (c, delta) = _factor_eval(problem, grid.nodes, zvals, 0)
-    w = grid.node_weights[:, None]
-    return np.sum(a * np.cumsum(w * beta, axis=0), axis=1) + np.sum(c * _suffix(w * delta), axis=1)
-
-
 def _jacobian(problem, grid, zvals, wb, n, r):
     """I - M where M[(j,eta),(k,xi)] = <K_m'(z) phi_{k,xi}, phi_{j,eta}>."""
     block = grid.offsets.size
@@ -108,7 +100,9 @@ def _jacobian(problem, grid, zvals, wb, n, r):
         _blocks(share, n, grid.node_count**2)
     else:
         blocks = []
-        for s_part, t_part in _factor_eval(problem, grid.nodes, zvals, 1):
+        sides = [_side_products(side, grid.nodes, grid.nodes, zvals, 1) for side in problem.factors]
+        _check_finite(problem, *(arr for pair in sides for arr in pair))
+        for s_part, t_part in sides:
             s_part = s_part.reshape(n, block, -1)  # [j, a, q]: a_q(t_a), t_a in block j
             t_part = t_part.reshape(n, block, -1)  # [k, b, q]: beta_du_q(t_b, z_b), t_b in block k
             # off the diagonal, M[j, :, k, :] = (wb.T @ s_part[j]) @ (wb.T @ t_part[k]).T
@@ -177,7 +171,11 @@ def solve_discrete_galerkin(
         return (coeffs @ basis.T).ravel()
 
     def residual(coeffs):
-        km_vals = _km_at_nodes(problem, grid, node_values(coeffs))
+        z = node_values(coeffs)
+        if problem.factors is None:
+            km_vals = _weighted_kernel_sum(problem, grid, z, grid.nodes, order=0)
+        else:
+            km_vals = _factored_km(problem, grid, z, grid.nodes)
         return coeffs - _coefficients(km_vals, grid, basis) - c_f
 
     def newton_step(coeffs, res):

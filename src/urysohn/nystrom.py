@@ -9,6 +9,9 @@ anywhere in [0, 1] come from the natural extension x(s) = f(s) + K_m(x)(s).
 The kernel is evaluated with the correct branch on each side of t = s via
 :func:`urysohn.problems.kernel_eval`, which is what limits the attainable
 accuracy to O(fine_h**2): the diagonal kink sits inside quadrature panels.
+With declared ``factors`` the natural extension sums the factors instead,
+O((N + M) * rank + M log N) at M points; :func:`apply_km`,
+:func:`km_prime_apply` and the Newton solve always sum kernel entries.
 
 Newton's method solves with the Jacobian I - K_m'(x) by GMRES: K_m'(x) is
 compact for a Green's-function-type kernel, so the GMRES iteration count
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, EvaluationError, SingularOperatorError
-from .problems import UrysohnProblem, kernel_eval
+from .problems import UrysohnProblem, _check_finite, kernel_eval
 from .quadrature import CompositeGrid, _count, _frozen_array, _unit_points, build_grid, values_on
 
 __all__ = ["GridFunction", "apply_km", "km_prime_apply", "solve_nystrom", "NystromSolution"]
@@ -173,11 +176,39 @@ def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None):
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
+def _factored_km(problem, grid, xvals, s):
+    """K_m(x) at points s (an array, any shape and order) from the declared factors alone.
+
+    K_m(x)(s) = a(s) . below[j] + c(s) . above[j] with j the count of nodes <= s,
+    below[j] = sum_{b < j} W_b beta(node_b, x_b) and above[j] = sum_{b >= j} W_b
+    delta(node_b, x_b), so a point on a node takes the lower branch there, as in
+    kernel_eval.  ``above`` is a reversed cumsum: total - below loses digits near 1.
+    """
+    (a, beta, _), (c, delta, _) = problem.factors
+    flat = np.ravel(s)
+    if s is grid.nodes:  # the Galerkin residual: node i has nodes 0..i at or below it
+        j = np.arange(1, flat.size + 1)
+    else:
+        j = np.searchsorted(grid.nodes, flat, side="right")
+    w = grid.node_weights[:, None]
+    wbeta, wdelta = (w * np.asarray(g(grid.nodes, xvals), dtype=float) for g in (beta, delta))
+    below = np.zeros((grid.node_count + 1, wbeta.shape[1]))
+    above = np.zeros((grid.node_count + 1, wdelta.shape[1]))
+    np.cumsum(wbeta, axis=0, out=below[1:])
+    np.cumsum(wdelta[::-1], axis=0, out=above[-2::-1])
+    a_s, c_s = (np.asarray(g(flat), dtype=float) for g in (a, c))
+    out = np.sum(a_s * below[j], axis=-1) + np.sum(c_s * above[j], axis=-1)
+    _check_finite(problem, a_s, c_s, below, above, out)
+    return out.reshape(np.shape(s))
+
+
 def apply_km(problem: UrysohnProblem, x: GridFunction, s):
     """Evaluate the discretised operator K_m(x) at points s in [0, 1].
 
     ``s`` may have any shape and any order: a scalar gives a float, an array
     an array of its shape, and no value depends on the order of the points.
+    Sums N kernel entries per point even with declared factors: it is the
+    dense reference of every factored path and the Nystrom solve's sweep.
     """
     return _weighted_kernel_sum(problem, x.grid, x.values, _unit_points(s), order=0)
 
@@ -186,7 +217,8 @@ def km_prime_apply(problem: UrysohnProblem, base: GridFunction, v: GridFunction,
     """Evaluate the Frechet derivative action K_m'(base)[v] at points s.
 
     K_m'(base)v(s) = sum_b W_b * dk/du(s, node_b, base_b) * v_b, with s taken
-    as by :func:`apply_km`: any shape, any order, a float for a scalar.
+    as by :func:`apply_km`: any shape, any order, a float for a scalar.  Like
+    :func:`apply_km` it always sums kernel entries, as the dense reference.
     """
     if base.grid is not v.grid and not np.array_equal(base.grid.nodes, v.grid.nodes):
         raise ValueError("base and direction must live on the same grid")
@@ -196,9 +228,11 @@ def km_prime_apply(problem: UrysohnProblem, base: GridFunction, v: GridFunction,
 
 
 def _extension(problem: UrysohnProblem, x: GridFunction, s):
-    """Natural extension f(s) + K_m(x)(s) at points s in [0, 1]."""
+    """Natural extension f(s) + K_m(x)(s) at points s in [0, 1], from the factors if declared."""
     s = _unit_points(s)  # before f, which need not be defined outside [0, 1]
-    out = values_on(problem.f, s) + apply_km(problem, x, s)
+    factored = problem.factors is not None
+    km = _factored_km(problem, x.grid, x.values, s) if factored else apply_km(problem, x, s)
+    out = values_on(problem.f, s) + km
     return float(out) if s.ndim == 0 else out
 
 

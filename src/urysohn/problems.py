@@ -130,17 +130,10 @@ def _check_factors(problem: UrysohnProblem) -> None:
                 )
 
 
-def _factor_eval(problem: UrysohnProblem, nodes, u, order: int):
-    """Both sides' factors at (s, t, u) = (nodes, nodes, u): [(a, beta), (c, delta)].
-
-    Each pair is broadcast to one (points, rank) shape; ``order`` 1 gives
-    the u-derivatives beta_du and delta_du.  Raises the EvaluationError of
-    :func:`kernel_eval` if any value is not finite.
-    """
-    pairs = [_side_products(side, nodes, nodes, u, order) for side in problem.factors]
-    if not all(np.all(np.isfinite(arr)) for pair in pairs for arr in pair):
+def _check_finite(problem: UrysohnProblem, *arrays) -> None:
+    """The EvaluationError of a kernel or factor value that is not finite."""
+    if not all(np.all(np.isfinite(arr)) for arr in arrays):
         raise EvaluationError(f"kernel of {problem.name!r} returned non-finite values")
-    return pairs
 
 
 def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0):
@@ -184,8 +177,7 @@ def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0):
     shape = np.broadcast_shapes(s.shape, t.shape, out.shape)
     if out.shape != shape:
         out = np.broadcast_to(out, shape).copy()
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"kernel of {problem.name!r} returned non-finite values")
+    _check_finite(problem, out)
     return float(out) if out.ndim == 0 else out
 
 

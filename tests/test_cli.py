@@ -304,3 +304,44 @@ def test_bad_refinement_rules_are_usage_errors(capture, command, n, rule, named)
     assert code == 1
     assert out == ""
     assert err.startswith("urysohn: error:") and named in err
+
+
+# The md tables of the paper's two ladders, byte for byte.  md shows three
+# significant digits, so these bytes do not depend on the order in which a
+# sum is taken, while the nine-digit csv eps columns do.
+_CONVERGE_MD = {
+    ("1", "10,20,40"): """\
+Iterated-solution errors for problem rpk-aks, r=1, n=10 (m=100)
+
+| t | eps_S | order_S | eps_EX | order_EX |
+|---|-------|---------|--------|----------|
+| 0.00 | 0.00e+00 |  | 0.00e+00 |  |
+| 0.10 | 9.09e-04 | 1.95 | 1.12e-05 | 3.91 |
+| 0.20 | 8.81e-04 | 1.93 | 1.36e-05 | 3.92 |
+| 0.30 | 6.35e-04 | 1.91 | 1.30e-05 | 3.93 |
+| 0.40 | 3.79e-04 | 1.87 | 1.16e-05 | 3.93 |
+| 0.50 | 1.73e-04 | 1.77 | 9.97e-06 | 3.94 |
+| 0.60 | 2.89e-05 | 1.11 | 8.24e-06 | 3.94 |
+| 0.70 | 5.51e-05 | 2.62 | 6.44e-06 | 3.95 |
+| 0.80 | 8.43e-05 | 2.25 | 4.51e-06 | 3.95 |
+| 0.90 | 6.44e-05 | 2.17 | 2.38e-06 | 3.95 |
+| 1.00 | 0.00e+00 |  | 0.00e+00 |  |
+""",
+    ("2", "3,6,12"): """\
+Iterated-solution errors for problem rpk-aks, r=2, n=3 (m=27)
+
+| t | eps_S | order_S | eps_EX | order_EX |
+|---|-------|---------|--------|----------|
+| 0.00 | 0.00e+00 |  | 0.00e+00 |  |
+| 0.33 | 1.04e-03 | 3.69 | 1.67e-05 | 5.13 |
+| 0.67 | 4.88e-04 | 3.66 | 8.53e-06 | 5.28 |
+| 1.00 | 0.00e+00 |  | 0.00e+00 |  |
+""",
+}
+
+
+@pytest.mark.parametrize("r, n", sorted(_CONVERGE_MD))
+def test_converge_md_bytes_of_the_paper_ladders(capture, r, n):
+    code, out, _ = capture(["converge", "--problem", "rpk-aks", "--r", r, "--n", n, "--format", "md"])
+    assert code == 0
+    assert out == _CONVERGE_MD[r, n]

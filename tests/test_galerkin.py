@@ -29,7 +29,8 @@ from urysohn import (
     solve_discrete_galerkin,
     solve_nystrom,
 )
-from urysohn.galerkin import _jacobian, _km_at_nodes
+from urysohn.galerkin import _jacobian
+from urysohn.nystrom import NystromSolution, _factored_km
 from urysohn.problems import _sinh_greens_factors
 from urysohn.projection import basis_matrix
 
@@ -399,8 +400,8 @@ def test_factored_km_matches_the_dense_km_at_the_nodes(gamma):
     z = 1.0 + np.sin(5.0 * grid.nodes)
     # near the diagonal the dense path also evaluates each branch on the other
     # side, where the sinh product overflows for gamma = 700; np.where drops it
-    dense = _km_at_nodes(dataclasses.replace(pb, factors=None), grid, z)
-    factored = _km_at_nodes(pb, grid, z)
+    dense = apply_km(dataclasses.replace(pb, factors=None), GridFunction(grid, z), grid.nodes)
+    factored = _factored_km(pb, grid, z, grid.nodes)
     assert np.max(np.abs(factored - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
@@ -409,7 +410,7 @@ def test_dense_apply_km_at_gamma_700_matches_the_factored_km():
     grid = build_grid(20, 20, gauss_rule(2))
     z = 1.0 + np.sin(5.0 * grid.nodes)
     dense = apply_km(dataclasses.replace(pb, factors=None), GridFunction(grid, z), grid.nodes)
-    factored = _km_at_nodes(pb, grid, z)
+    factored = _factored_km(pb, grid, z, grid.nodes)
     assert np.max(np.abs(dense - factored)) <= 1e-14 * np.max(np.abs(factored))
 
 
@@ -418,7 +419,7 @@ def test_dense_nystrom_solve_at_gamma_700_solves_the_factored_equation():
     grid = build_grid(20, 20, gauss_rule(2))
     sol = solve_nystrom(dataclasses.replace(pb, factors=None), grid)
     x = sol.node_values.values
-    assert np.max(np.abs(x - _km_at_nodes(pb, grid, x) - 1.0)) <= 1e-12
+    assert np.max(np.abs(x - _factored_km(pb, grid, x, grid.nodes) - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["gamma-720", "nan-above-3"])
@@ -438,15 +439,121 @@ def test_nonfinite_factor_values_raise_the_kernel_error(case):
                 solve_discrete_galerkin(problem, 4, 1)
 
 
+# The natural extension f + K_m(x) of a problem with factors comes from their
+# prefix and suffix sums; its dense twin (factors=None) sums kernel entries.
+def jump_problem():
+    """k = u/4 for t <= s and u/2 for t > s: at a node, the value shows which branch it took."""
+    const = lambda c: lambda *args: np.full(np.broadcast(*args).shape, c)
+    return hammerstein_problem(
+        "jump",
+        const(0.25),
+        const(0.5),
+        lambda t, u: u,
+        const(1.0),
+        f=const(1.0),
+        g_factors=(const(0.25), const(1.0), const(0.5), const(1.0)),
+    )
+
+
+EXTENSION_CASES = {
+    "jump": lambda: (jump_problem(), 10, 1),
+    "rpk-aks-r1": lambda: (get_problem("rpk-aks"), 10, 1),
+    "rpk-aks-r2": lambda: (get_problem("rpk-aks"), 3, 2),
+    "rank-two": lambda: (rank_two_problem(), 6, 1),
+    "sinh-40": lambda: (sinh_problem(40.0), 10, 1),
+    "sinh-200": lambda: (sinh_problem(200.0), 10, 1),
+    "sinh-700": lambda: (sinh_problem(700.0), 10, 1),
+}
+
+
+def extension_points(grid):
+    """2000 unsorted points, the nodes, the partition points, 0 and 1, and each node +- 1 ulp."""
+    rng = np.random.default_rng(11)
+    nodes = grid.nodes
+    return np.concatenate(
+        [
+            rng.random(2000),
+            nodes,
+            grid.partition_points,
+            [0.0, 1.0],
+            np.nextafter(nodes, 0.0),
+            np.nextafter(nodes, 1.0),
+        ]
+    )
+
+
+def assert_matches_dense_twin(evaluate, solution, pts):
+    """evaluate(solution, s) with the factors against the same node values without them."""
+    twin = dataclasses.replace(solution, problem=dataclasses.replace(solution.problem, factors=None))
+    # near the diagonal the dense path also evaluates each branch on the other
+    # side, where the sinh product overflows for gamma = 700; np.where drops it
+    with np.errstate(over="ignore"):
+        dense = evaluate(twin, pts)
+        dense_scalar = evaluate(twin, 0.37)
+    factored = evaluate(solution, pts)
+    scale = np.max(np.abs(dense))
+    assert factored.shape == pts.shape
+    assert np.max(np.abs(factored - dense)) <= 1e-14 * scale
+    scalar = evaluate(solution, 0.37)
+    assert isinstance(scalar, float)
+    assert abs(scalar - dense_scalar) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("case", sorted(EXTENSION_CASES))
+def test_factored_iterated_solution_matches_its_dense_twin(case):
+    pb, n, r = EXTENSION_CASES[case]()
+    sol = solve_discrete_galerkin(pb, n, r)
+    assert_matches_dense_twin(iterated_eval, sol, extension_points(sol.grid))
+
+
+@pytest.mark.parametrize("case", sorted(EXTENSION_CASES))
+def test_factored_nystrom_extension_matches_its_dense_twin(case):
+    pb = EXTENSION_CASES[case]()[0]
+    sol = solve_nystrom(pb, build_grid(20, 5, gauss_rule(2)))
+    assert_matches_dense_twin(lambda sol, s: sol(s), sol, extension_points(sol.grid))
+
+
+def test_factored_extension_does_not_depend_on_the_order_of_the_points():
+    sol = solve_discrete_galerkin(get_problem("rpk-aks"), 10, 1)
+    pts = extension_points(sol.grid)
+    perm = np.random.default_rng(3).permutation(pts.size)
+    np.testing.assert_array_equal(iterated_eval(sol, pts[perm]), iterated_eval(sol, pts)[perm])
+
+
+def test_nonfinite_factor_values_of_an_extension_raise_the_kernel_error():
+    # psi is NaN for u > 3, so the one node value 4 makes beta and delta NaN there
+    pb = sinh_problem(
+        np.sqrt(12.0),
+        psi=lambda t, u: np.where(u > 3.0, np.nan, u),
+        psi_du=lambda t, u: np.where(u > 3.0, np.nan, 1.0),
+    )
+    grid = build_grid(10, 1, gauss_rule(2))
+    values = np.ones(grid.node_count)
+    values[7] = 4.0
+    for problem in (pb, dataclasses.replace(pb, factors=None)):
+        sol = NystromSolution(problem, GridFunction(grid, values), (0.0,))
+        for s in (0.5, np.linspace(0.0, 1.0, 11)):
+            with pytest.raises(EvaluationError, match="non-finite"):
+                sol(s)
+
+
 _THREADS_SCRIPT = """
 import sys
 import numpy as np
-from urysohn import get_problem, iterated_eval, solve_discrete_galerkin
+from urysohn import (
+    build_grid, gauss_rule, get_problem, iterated_eval, solve_discrete_galerkin, solve_nystrom
+)
+pb = get_problem("rpk-aks")
+pts = np.random.default_rng(2).random(2000)
 out = {}
 for n, r in ((40, 1), (80, 1), (12, 2)):
-    sol = solve_discrete_galerkin(get_problem("rpk-aks"), n, r)
+    sol = solve_discrete_galerkin(pb, n, r)
     out[f"coeffs-{n}-{r}"] = sol.z_g.coeffs
     out[f"z_s-{n}-{r}"] = iterated_eval(sol, sol.grid.partition_points)
+    out[f"z_s-points-{n}-{r}"] = iterated_eval(sol, pts)
+sol = solve_nystrom(pb, build_grid(300, 1, gauss_rule(2)))  # 300 panels: the two-grid start
+out["nystrom-300"] = sol.node_values.values
+out["nystrom-300-points"] = sol(pts)
 np.savez(sys.argv[1], **out)
 """
 
@@ -465,6 +572,6 @@ def test_factored_solve_does_not_depend_on_the_blas_thread_count(tmp_path):
         )
         with np.load(out) as data:
             results.append({key: data[key] for key in data.files})
-    assert len(results[0]) == 6
+    assert len(results[0]) == 11
     for key, values in results[0].items():
         assert np.array_equal(values, results[1][key]), key

@@ -531,8 +531,9 @@ def test_coarse_start_failure_names_the_coarse_grid_and_carries_its_trace():
 
 
 def test_two_grid_solve_evaluates_the_closed_form_kernel_count(monkeypatch):
-    # The coarse Newton solve, its natural extension at the N fine nodes and
-    # the fine Newton solve, and nothing else.
+    # The coarse Newton solve and the fine Newton solve, and nothing else: the
+    # coarse solution's natural extension at the N fine nodes, like any
+    # extension of a problem that declares factors, evaluates no kernel entry.
     pb = get_problem("rpk-aks")
     grid = builtin_grid(300)
     coarse = coarse_start_grid(grid)
@@ -546,13 +547,18 @@ def test_two_grid_solve_evaluates_the_closed_form_kernel_count(monkeypatch):
         return out
 
     monkeypatch.setattr(nystrom, "kernel_eval", counting)
-    iters = solve_nystrom(pb, grid).newton_iterations
+    sol = solve_nystrom(pb, grid)
+    iters = sol.newton_iterations
     evaluated = {order: sum(counts) for order, counts in sizes.items()}
     n, n_c = grid.node_count, coarse.node_count
     assert evaluated == {
-        0: iters_c * n_c**2 + n * n_c + iters * n**2,
+        0: iters_c * n_c**2 + iters * n**2,
         1: (iters_c - 1) * n_c**2 + (iters - 1) * n**2,
     }
+    for counts in sizes.values():
+        counts.clear()
+    sol(np.linspace(0.0, 1.0, 101))
+    assert sizes == {0: [], 1: []}
 
 
 # Row blocks in parallel: the sweeps share their blocks out over all usable
