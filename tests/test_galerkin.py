@@ -405,6 +405,15 @@ def test_factored_km_matches_the_dense_km_at_the_nodes(gamma):
     assert np.max(np.abs(factored - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
+def test_dense_apply_km_at_gamma_700_matches_the_factored_km():
+    pb = sinh_problem(700.0)
+    grid = build_grid(20, 20, gauss_rule(2))
+    z = 1.0 + np.sin(5.0 * grid.nodes)
+    dense = apply_km(dataclasses.replace(pb, factors=None), GridFunction(grid, z), grid.nodes)
+    factored = _factored_km(pb, grid, z, grid.nodes)
+    assert np.max(np.abs(dense - factored)) <= 1e-14 * np.max(np.abs(factored))
+
+
 def test_dense_nystrom_solve_at_gamma_700_solves_the_factored_equation():
     pb = sinh_problem(700.0)
     grid = build_grid(20, 20, gauss_rule(2))
