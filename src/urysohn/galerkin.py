@@ -22,6 +22,8 @@ exclusive suffix sum, an off-diagonal Jacobian block is the product of two
 (r, rank) matrices, and a diagonal block comes from prefix sums within the
 block: O(N * r**2 * rank) + (n*r)**2 per step, plus the (n*r)**3 LU.  Its
 z_S at M points then takes O((N + M) * rank + M log N) instead of M*N.
+K_m, in the residual and in z_S, comes from ``nystrom._km``, the one reader
+of declared factors for K_m; besides it only :func:`_jacobian` reads them.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nystrom import (
-    GridFunction, _NewtonTrace, _blocks, _extension, _factored_km, _kernel_pieces, _newton,
-    _weighted_kernel_sum,
-)
+from .nystrom import GridFunction, _NewtonTrace, _blocks, _extension, _kernel_pieces, _km, _newton
 from .problems import UrysohnProblem, _check_finite, _side_products
 from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
 from .quadrature import CompositeGrid, _count, build_grid, gauss_rule, values_on
@@ -171,11 +170,7 @@ def solve_discrete_galerkin(
         return (coeffs @ basis.T).ravel()
 
     def residual(coeffs):
-        z = node_values(coeffs)
-        if problem.factors is None:
-            km_vals = _weighted_kernel_sum(problem, grid, z, grid.nodes, order=0)
-        else:
-            km_vals = _factored_km(problem, grid, z, grid.nodes)
+        km_vals = _km(problem, grid, node_values(coeffs), grid.nodes)
         return coeffs - _coefficients(km_vals, grid, basis) - c_f
 
     def newton_step(coeffs, res):

@@ -9,8 +9,9 @@ anywhere in [0, 1] come from the natural extension x(s) = f(s) + K_m(x)(s).
 The kernel is evaluated with the correct branch on each side of t = s via
 :func:`urysohn.problems.kernel_eval`, which is what limits the attainable
 accuracy to O(fine_h**2): the diagonal kink sits inside quadrature panels.
-With declared ``factors`` the natural extension sums the factors instead,
-O((N + M) * rank + M log N) at M points; :func:`apply_km`,
+:func:`_km` is the one reader of declared ``factors`` for K_m: with them,
+K_m at M points, for the natural extension and the Galerkin residual, sums
+the factors in O((N + M) * rank + M log N); :func:`apply_km`,
 :func:`km_prime_apply` and the Newton solve always sum kernel entries.
 
 Newton's method solves with the Jacobian I - K_m'(x) by GMRES: K_m'(x) is
@@ -176,20 +177,23 @@ def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None):
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
-def _factored_km(problem, grid, xvals, s):
-    """K_m(x) at points s (an array, any shape and order) from the declared factors alone.
+def _km(problem, grid, xvals, s):
+    """K_m(x) at points s (an array, any shape and order); the one reader of declared factors.
 
-    K_m(x)(s) = a(s) . below[j] + c(s) . above[j] with j the count of nodes <= s,
-    below[j] = sum_{b < j} W_b beta(node_b, x_b) and above[j] = sum_{b >= j} W_b
-    delta(node_b, x_b), so a point on a node takes the lower branch there, as in
-    kernel_eval.  ``above`` is a reversed cumsum: total - below loses digits near 1.
+    Without factors this is the dense sweep :func:`_weighted_kernel_sum`.
+    With them K_m(x)(s) = a(s) . below[j] + c(s) . above[j] with j the count
+    of nodes <= s, below[j] = sum_{b < j} W_b beta(node_b, x_b) and above[j] =
+    sum_{b >= j} W_b delta(node_b, x_b), so a point on a node takes the lower
+    branch there, as in kernel_eval.  ``above`` is a reversed cumsum: total -
+    below loses digits near 1.  :func:`apply_km`, :func:`km_prime_apply` and
+    the Nystrom residual and Newton step call the dense sweep directly: they
+    are the dense reference, and the benchmark pins their kernel counts.
     """
+    if problem.factors is None:
+        return _weighted_kernel_sum(problem, grid, xvals, s, order=0)
     (a, beta, _), (c, delta, _) = problem.factors
     flat = np.ravel(s)
-    if s is grid.nodes:  # the Galerkin residual: node i has nodes 0..i at or below it
-        j = np.arange(1, flat.size + 1)
-    else:
-        j = np.searchsorted(grid.nodes, flat, side="right")
+    j = np.searchsorted(grid.nodes, flat, side="right")
     w = grid.node_weights[:, None]
     wbeta, wdelta = (w * np.asarray(g(grid.nodes, xvals), dtype=float) for g in (beta, delta))
     below = np.zeros((grid.node_count + 1, wbeta.shape[1]))
@@ -228,11 +232,9 @@ def km_prime_apply(problem: UrysohnProblem, base: GridFunction, v: GridFunction,
 
 
 def _extension(problem: UrysohnProblem, x: GridFunction, s):
-    """Natural extension f(s) + K_m(x)(s) at points s in [0, 1], from the factors if declared."""
+    """Natural extension f(s) + K_m(x)(s) at points s in [0, 1]."""
     s = _unit_points(s)  # before f, which need not be defined outside [0, 1]
-    factored = problem.factors is not None
-    km = _factored_km(problem, x.grid, x.values, s) if factored else apply_km(problem, x, s)
-    out = values_on(problem.f, s) + km
+    out = values_on(problem.f, s) + _km(problem, x.grid, x.values, s)
     return float(out) if s.ndim == 0 else out
 
 

@@ -29,8 +29,9 @@ from urysohn import (
     solve_discrete_galerkin,
     solve_nystrom,
 )
+from urysohn import nystrom
 from urysohn.galerkin import _jacobian
-from urysohn.nystrom import NystromSolution, _factored_km
+from urysohn.nystrom import NystromSolution, _km
 from urysohn.problems import _sinh_greens_factors
 from urysohn.projection import basis_matrix
 
@@ -401,17 +402,28 @@ def test_factored_km_matches_the_dense_km_at_the_nodes(gamma):
     # near the diagonal the dense path also evaluates each branch on the other
     # side, where the sinh product overflows for gamma = 700; np.where drops it
     dense = apply_km(dataclasses.replace(pb, factors=None), GridFunction(grid, z), grid.nodes)
-    factored = _factored_km(pb, grid, z, grid.nodes)
+    factored = _km(pb, grid, z, grid.nodes)
     assert np.max(np.abs(factored - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
-def test_dense_apply_km_at_gamma_700_matches_the_factored_km():
+def test_km_at_a_2d_array_of_unsorted_points_keeps_its_shape_and_bits():
     pb = sinh_problem(700.0)
+    dense_pb = dataclasses.replace(pb, factors=None)
     grid = build_grid(20, 20, gauss_rule(2))
     z = 1.0 + np.sin(5.0 * grid.nodes)
-    dense = apply_km(dataclasses.replace(pb, factors=None), GridFunction(grid, z), grid.nodes)
-    factored = _factored_km(pb, grid, z, grid.nodes)
-    assert np.max(np.abs(dense - factored)) <= 1e-14 * np.max(np.abs(factored))
+    rng = np.random.default_rng(13)
+    pts = np.concatenate([rng.random(960), grid.nodes[::20]])  # 40 points on nodes
+    rng.shuffle(pts)
+    pts = pts.reshape(40, 25)
+    factored = _km(pb, grid, z, pts)
+    factored_flat = _km(pb, grid, z, pts.ravel())
+    with np.errstate(over="ignore"):  # each sinh branch overflows on the other side
+        dense = _km(dense_pb, grid, z, pts)
+        dense_flat = _km(dense_pb, grid, z, pts.ravel())
+    for out, flat in ((factored, factored_flat), (dense, dense_flat)):
+        assert out.shape == pts.shape
+        np.testing.assert_array_equal(out, flat.reshape(pts.shape))
+    assert np.max(np.abs(factored - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
 def test_dense_nystrom_solve_at_gamma_700_solves_the_factored_equation():
@@ -419,7 +431,30 @@ def test_dense_nystrom_solve_at_gamma_700_solves_the_factored_equation():
     grid = build_grid(20, 20, gauss_rule(2))
     sol = solve_nystrom(dataclasses.replace(pb, factors=None), grid)
     x = sol.node_values.values
-    assert np.max(np.abs(x - _factored_km(pb, grid, x, grid.nodes) - 1.0)) <= 1e-12
+    assert np.max(np.abs(x - _km(pb, grid, x, grid.nodes) - 1.0)) <= 1e-12
+
+
+def test_factored_galerkin_solve_and_z_s_evaluate_no_kernel_entry(monkeypatch):
+    # _km and _jacobian read the declared factors; only the dense twin calls the kernel
+    calls = []
+    kernel = nystrom.kernel_eval
+
+    def counting(problem, s, t, u, order):
+        calls.append(order)
+        return kernel(problem, s, t, u, order)
+
+    monkeypatch.setattr(nystrom, "kernel_eval", counting)
+    pb = get_problem("rpk-aks")
+    pts = np.random.default_rng(17).random(1000)
+    counts = []
+    for problem in (pb, dataclasses.replace(pb, factors=None)):
+        calls.clear()
+        sol = solve_discrete_galerkin(problem, 10, 1)
+        iterated_eval(sol, sol.grid.partition_points)
+        iterated_eval(sol, pts)
+        counts.append(len(calls))
+    assert counts[0] == 0
+    assert counts[1] > 0
 
 
 @pytest.mark.parametrize("case", ["gamma-720", "nan-above-3"])
