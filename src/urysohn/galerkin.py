@@ -22,8 +22,11 @@ exclusive suffix sum, an off-diagonal Jacobian block is the product of two
 (r, rank) matrices, and a diagonal block comes from prefix sums within the
 block: O(N * r**2 * rank) + (n*r)**2 per step, plus the (n*r)**3 LU.  Its
 z_S at M points then takes O((N + M) * rank + M log N) instead of M*N.
-K_m, in the residual and in z_S, comes from ``nystrom._km``, the one reader
-of declared factors for K_m; besides it only :func:`_jacobian` reads them.
+What does not depend on the iterate, a(s) and c(s) at the nodes with their
+node counts and projections, is built once per solve, so a step evaluates
+only the t factors beta, delta and their u-derivatives.  K_m, in the
+residual and in z_S, comes from ``nystrom._km_at``, the one reader of
+declared factors for K_m; besides it only :func:`_jacobian_at` reads them.
 """
 
 from __future__ import annotations
@@ -32,8 +35,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nystrom import GridFunction, _NewtonTrace, _blocks, _extension, _kernel_pieces, _km, _newton
-from .problems import UrysohnProblem, _check_finite, _side_products
+from .nystrom import (
+    GridFunction,
+    _NewtonTrace,
+    _blocks,
+    _extension,
+    _kernel_pieces,
+    _km_at,
+    _newton,
+    _newton_controls,
+    _prefix,
+    _suffix,
+)
+from .problems import UrysohnProblem, _check_finite
 from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
 from .quadrature import CompositeGrid, _count, build_grid, gauss_rule, values_on
 
@@ -73,53 +87,81 @@ class GalerkinSolution(_NewtonTrace):
         return self.z_g.r
 
 
-def _suffix(values, axis=0):
-    """Exclusive suffix sums along ``axis``: entry i sums the entries after i."""
-    inclusive = np.flip(np.cumsum(np.flip(values, axis), axis), axis)
+def _at_nodes(g, count, *args):
+    """A declared factor g(*args) as a (count, rank) array over the nodes."""
+    out = np.asarray(g(*args), dtype=float)
+    return out if out.shape[:1] == (count,) else np.broadcast_to(out, (count,) + out.shape[-1:])
+
+
+def _jacobian_at(problem, grid, wb, n, r):
+    """``z -> I - M`` where M[(j,eta),(k,xi)] = <K_m'(z) phi_{k,xi}, phi_{j,eta}>.
+
+    With declared factors the half that does not depend on z is built here,
+    once: a(nodes) and c(nodes), checked finite, their projections ``rows``
+    for the blocks off the diagonal, their weighted products for the blocks
+    on it, and the mask that picks the lower side below the diagonal.
+    """
+    block = grid.offsets.size
+    if problem.factors is None:
+
+        def dense(zvals):
+            m_full = np.empty((n, r, n, r))
+
+            def share(coarse):
+                inner = np.empty((r, grid.node_count))  # eta x global node b
+                for j in coarse:
+                    rows = grid.nodes[j * block : (j + 1) * block]
+                    # one branch on the earlier and the later coarse blocks, both within block j
+                    for c0, c1, piece in _kernel_pieces(problem, rows, grid.nodes, zvals, 1):
+                        inner[:, c0:c1] = wb.T @ piece
+                    m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, block), wb)
+
+            _blocks(share, n, grid.node_count**2)
+            return _identity_minus(m_full, n * r)
+
+        return dense
+
+    s_parts = [_at_nodes(side[0], grid.node_count, grid.nodes) for side in problem.factors]
+    _check_finite(problem, *s_parts)
+    wb_a = wb[None, :, :, None]
+    halves = []
+    for s_part in s_parts:
+        s_part = s_part.reshape(n, block, -1)  # [j, a, q]: a_q(t_a), t_a in block j
+        # off the diagonal, M[j, :, k, :] = (wb.T @ s_part[j]) @ (wb.T @ t_part[k]).T
+        halves.append((np.einsum("ae,jaq->jeq", wb, s_part), wb_a * s_part[:, :, None, :]))
+    j = np.arange(n)
+    below = (j[:, None] > j[None, :])[:, None, :, None]
+    # within block j, the lower side sums b <= a and the upper side b > a
+    diagonal_sums = (lambda v: _prefix(v, 1), _after)
+
+    def factored(zvals):
+        blocks = []
+        for (rows, weighted), side, sums in zip(halves, problem.factors, diagonal_sums):
+            t_part = _at_nodes(side[2], grid.node_count, grid.nodes, zvals)
+            _check_finite(problem, t_part)
+            t_part = t_part.reshape(n, block, -1)  # [k, b, q]: beta_du_q(t_b, z_b), t_b in block k
+            cols = np.einsum("bx,kbq->kxq", wb, t_part)
+            diag = np.einsum("jaeq,jaxq->jex", weighted, sums(wb_a * t_part[:, :, None, :]))
+            blocks.append((np.einsum("jeq,kxq->jekx", rows, cols), diag))
+        (lower, lower_diag), (upper, upper_diag) = blocks
+        m_full = np.where(below, lower, upper)
+        m_full[j, :, j, :] = lower_diag + upper_diag
+        return _identity_minus(m_full, n * r)
+
+    return factored
+
+
+def _after(values):
+    """Exclusive suffix sums along axis 1: entry i sums the entries after i."""
     out = np.zeros_like(values)
-    np.moveaxis(out, axis, 0)[:-1] = np.moveaxis(inclusive, axis, 0)[1:]
+    out[:, :-1] = _suffix(values[:, 1:], 1)
     return out
 
 
-def _jacobian(problem, grid, zvals, wb, n, r):
-    """I - M where M[(j,eta),(k,xi)] = <K_m'(z) phi_{k,xi}, phi_{j,eta}>."""
-    block = grid.offsets.size
-    if problem.factors is None:
-        m_full = np.empty((n, r, n, r))
-
-        def share(coarse):
-            inner = np.empty((r, grid.node_count))  # eta x global node b
-            for j in coarse:
-                rows = grid.nodes[j * block : (j + 1) * block]
-                # one branch on the earlier and the later coarse blocks, both within block j
-                for c0, c1, piece in _kernel_pieces(problem, rows, grid.nodes, zvals, 1):
-                    inner[:, c0:c1] = wb.T @ piece
-                m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, block), wb)
-
-        _blocks(share, n, grid.node_count**2)
-    else:
-        blocks = []
-        sides = [_side_products(side, grid.nodes, grid.nodes, zvals, 1) for side in problem.factors]
-        _check_finite(problem, *(arr for pair in sides for arr in pair))
-        for s_part, t_part in sides:
-            s_part = s_part.reshape(n, block, -1)  # [j, a, q]: a_q(t_a), t_a in block j
-            t_part = t_part.reshape(n, block, -1)  # [k, b, q]: beta_du_q(t_b, z_b), t_b in block k
-            # off the diagonal, M[j, :, k, :] = (wb.T @ s_part[j]) @ (wb.T @ t_part[k]).T
-            rows = np.einsum("ae,jaq->jeq", wb, s_part)
-            cols = np.einsum("bx,kbq->kxq", wb, t_part)
-            blocks.append((s_part, t_part, np.einsum("jeq,kxq->jekx", rows, cols)))
-        (a, beta, lower), (c, delta, upper) = blocks
-        j = np.arange(n)
-        m_full = np.where((j[:, None] > j[None, :])[:, None, :, None], lower, upper)
-        # within block j, the lower side sums b <= a and the upper side b > a
-        wb_a = wb[None, :, :, None]
-        m_full[j, :, j, :] = np.einsum(
-            "jaeq,jaxq->jex", wb_a * a[:, :, None, :], np.cumsum(wb_a * beta[:, :, None, :], axis=1)
-        ) + np.einsum(
-            "jaeq,jaxq->jex", wb_a * c[:, :, None, :], _suffix(wb_a * delta[:, :, None, :], 1)
-        )
-    jac = -m_full.reshape(n * r, n * r)
-    jac[np.diag_indices_from(jac)] += 1.0
+def _identity_minus(m_full, size):
+    """I - M as a (size, size) matrix, from M in (n, r, n, r) blocks."""
+    jac = -m_full.reshape(size, size)
+    jac.ravel()[:: size + 1] += 1.0  # a view: jac is a new contiguous array
     return jac
 
 
@@ -169,13 +211,15 @@ def solve_discrete_galerkin(
     def node_values(coeffs):
         return (coeffs @ basis.T).ravel()
 
+    _newton_controls(tol, max_iter)  # before the first kernel or factor call
+    km = _km_at(problem, grid, grid.nodes)
+    jacobian = _jacobian_at(problem, grid, wb, n, r)
+
     def residual(coeffs):
-        km_vals = _km(problem, grid, node_values(coeffs), grid.nodes)
-        return coeffs - _coefficients(km_vals, grid, basis) - c_f
+        return coeffs - _coefficients(km(node_values(coeffs)), grid, basis) - c_f
 
     def newton_step(coeffs, res):
-        jac = _jacobian(problem, grid, node_values(coeffs), wb, n, r)
-        return np.linalg.solve(jac, -res.ravel()).reshape(n, r)
+        return np.linalg.solve(jacobian(node_values(coeffs)), -res.ravel()).reshape(n, r)
 
     coeffs, trace = _newton(
         c_f.copy(),

@@ -9,10 +9,13 @@ anywhere in [0, 1] come from the natural extension x(s) = f(s) + K_m(x)(s).
 The kernel is evaluated with the correct branch on each side of t = s via
 :func:`urysohn.problems.kernel_eval`, which is what limits the attainable
 accuracy to O(fine_h**2): the diagonal kink sits inside quadrature panels.
-:func:`_km` is the one reader of declared ``factors`` for K_m: with them,
-K_m at M points, for the natural extension and the Galerkin residual, sums
-the factors in O((N + M) * rank + M log N); :func:`apply_km`,
-:func:`km_prime_apply` and the Newton solve always sum kernel entries.
+:func:`_km_at` is the one reader of declared ``factors`` for K_m: with
+them, K_m at M points, for the natural extension and the Galerkin residual,
+sums the factors in O((N + M) * rank + M log N), of which the M-point half
+(the node counts j and the s factors) is built once per point set and the
+node half, the blocked prefix and suffix sums :func:`_prefix` and
+:func:`_suffix`, once per iterate; :func:`apply_km`, :func:`km_prime_apply`
+and the Newton solve always sum kernel entries.
 
 Newton's method solves with the Jacobian I - K_m'(x) by GMRES: K_m'(x) is
 compact for a Green's-function-type kernel, so the GMRES iteration count
@@ -55,6 +58,7 @@ __all__ = ["GridFunction", "apply_km", "km_prime_apply", "solve_nystrom", "Nystr
 _MAX_NODES = 5000  # bounds the assembled float32 K_m'(x), 4 * N**2 bytes
 _CHUNK = 128  # points per row block of K_m and of the Nystrom Jacobian
 _PIECE = 1 << 16  # kernel entries per kernel_eval call
+_SUM_BLOCK = 8192  # entries per sequential run of a factored prefix sum
 _GMRES_RTOL = 1e-13  # GMRES stops at least-squares residual <= this * ||b||_2
 _COARSE_PANELS = 64  # panels of the grid whose solution starts a finer solve
 _TWO_GRID_FLOOR = 256  # grids of more panels than this start from _COARSE_PANELS
@@ -177,33 +181,72 @@ def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None):
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
-def _km(problem, grid, xvals, s):
-    """K_m(x) at points s (an array, any shape and order); the one reader of declared factors.
+def _prefix(values, axis=0):
+    """Inclusive prefix sums along ``axis`` (>= 0): entry i sums the entries up to i.
+
+    A sequential cumsum within runs of _SUM_BLOCK entries, each run offset
+    by the last sum of the run before it, so that the rounding grows with
+    the run length and the run count, not with the length; up to
+    _SUM_BLOCK entries this is the plain cumsum, bit for bit.
+    """
+    if np.shape(values)[axis] <= _SUM_BLOCK:
+        return np.cumsum(values, axis)
+    out = np.empty_like(values, dtype=float)  # the layout of cumsum's output, which einsum sees
+    runs, sums = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    for start in range(0, runs.shape[0], _SUM_BLOCK):
+        stop = min(start + _SUM_BLOCK, runs.shape[0])
+        np.cumsum(runs[start:stop], axis=0, out=sums[start:stop])
+        if start:
+            sums[start:stop] += sums[start - 1]
+    return out
+
+
+def _suffix(values, axis=0):
+    """Inclusive suffix sums along ``axis`` (>= 0): entry i sums the entries from i on."""
+    back = (slice(None),) * axis + (slice(None, None, -1),)
+    return _prefix(values[back], axis)[back]
+
+
+def _km_at(problem, grid, s):
+    """``xvals -> K_m(x)(s)`` at points s (an array, any shape and order); the one reader
+    of declared factors for K_m.
 
     Without factors this is the dense sweep :func:`_weighted_kernel_sum`.
     With them K_m(x)(s) = a(s) . below[j] + c(s) . above[j] with j the count
-    of nodes <= s, below[j] = sum_{b < j} W_b beta(node_b, x_b) and above[j] =
-    sum_{b >= j} W_b delta(node_b, x_b), so a point on a node takes the lower
-    branch there, as in kernel_eval.  ``above`` is a reversed cumsum: total -
-    below loses digits near 1.  :func:`apply_km`, :func:`km_prime_apply` and
-    the Nystrom residual and Newton step call the dense sweep directly: they
-    are the dense reference, and the benchmark pins their kernel counts.
+    of nodes <= s, below[j] = sum_{b < j} W_b beta(node_b, x_b) and above[j]
+    = sum_{b >= j} W_b delta(node_b, x_b), so a point on a node takes the
+    lower branch there, as in kernel_eval.  Both are blocked sums,
+    :func:`_prefix` and :func:`_suffix`; ``above`` is summed from the end,
+    since total - below loses digits near 1.  j, a(s) and c(s) do not
+    depend on x: they are found, and checked finite, once, here.
+    :func:`apply_km`, :func:`km_prime_apply` and the Nystrom residual and
+    Newton step call the dense sweep directly: they are the dense
+    reference, and the benchmark pins their kernel counts.
     """
     if problem.factors is None:
-        return _weighted_kernel_sum(problem, grid, xvals, s, order=0)
+        return lambda xvals: _weighted_kernel_sum(problem, grid, xvals, s, order=0)
     (a, beta, _), (c, delta, _) = problem.factors
     flat = np.ravel(s)
     j = np.searchsorted(grid.nodes, flat, side="right")
-    w = grid.node_weights[:, None]
-    wbeta, wdelta = (w * np.asarray(g(grid.nodes, xvals), dtype=float) for g in (beta, delta))
-    below = np.zeros((grid.node_count + 1, wbeta.shape[1]))
-    above = np.zeros((grid.node_count + 1, wdelta.shape[1]))
-    np.cumsum(wbeta, axis=0, out=below[1:])
-    np.cumsum(wdelta[::-1], axis=0, out=above[-2::-1])
     a_s, c_s = (np.asarray(g(flat), dtype=float) for g in (a, c))
-    out = np.sum(a_s * below[j], axis=-1) + np.sum(c_s * above[j], axis=-1)
-    _check_finite(problem, a_s, c_s, below, above, out)
-    return out.reshape(np.shape(s))
+    _check_finite(problem, a_s, c_s)
+    w = grid.node_weights[:, None]
+
+    def km(xvals):
+        wbeta, wdelta = (w * np.asarray(g(grid.nodes, xvals), dtype=float) for g in (beta, delta))
+        below = np.zeros((grid.node_count + 1, wbeta.shape[1]))
+        above = np.zeros((grid.node_count + 1, wdelta.shape[1]))
+        below[1:], above[:-1] = _prefix(wbeta), _suffix(wdelta)
+        out = np.sum(a_s * below[j], axis=-1) + np.sum(c_s * above[j], axis=-1)
+        _check_finite(problem, below, above, out)
+        return out.reshape(np.shape(s))
+
+    return km
+
+
+def _km(problem, grid, xvals, s):
+    """K_m(x) at points s: :func:`_km_at` used once."""
+    return _km_at(problem, grid, s)(xvals)
 
 
 def apply_km(problem: UrysohnProblem, x: GridFunction, s):
@@ -290,6 +333,13 @@ def _gmres(matvec, b):
     return np.linalg.solve(tri[:k, :k], np.array(g[:k])) @ basis[:k]
 
 
+def _newton_controls(tol, max_iter) -> int:
+    """ValueError unless ``tol`` is finite and > 0 and ``max_iter`` a positive integer; max_iter."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    return _count(max_iter, "max_iter")
+
+
 def _newton(x0, residual, newton_step, tol, max_iter, singular_message):
     """Newton's method on residual(x) = 0 from x0; returns (x, residual trace).
 
@@ -303,12 +353,10 @@ def _newton(x0, residual, newton_step, tol, max_iter, singular_message):
     an equation without a solution that is how a nearly singular Newton
     matrix shows, through an iterate grown to ~1/eps.
 
-    ``tol`` must be finite and > 0 and ``max_iter`` a positive integer;
-    both are checked before the first residual.
+    ``tol`` and ``max_iter`` are checked by :func:`_newton_controls` before
+    the first residual.
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    max_iter = _count(max_iter, "max_iter")
+    max_iter = _newton_controls(tol, max_iter)
     x = x0
     trace = []
     for _ in range(max_iter):

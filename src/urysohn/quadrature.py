@@ -10,6 +10,7 @@ roots -- no tabulated values.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -91,9 +92,16 @@ class QuadratureRule:
         return 2 * self.npoints - 1
 
 
+_rule = functools.cache(QuadratureRule)  # one shared rule per rho
+
+
 def gauss_rule(rho: int) -> QuadratureRule:
-    """The rho-point Gauss-Legendre rule on [0, 1], 1 <= rho <= 20: QuadratureRule(rho)."""
-    return QuadratureRule(rho)
+    """The rho-point Gauss-Legendre rule on [0, 1], 1 <= rho <= 20: QuadratureRule(rho).
+
+    Rules are immutable, so each is built once per process and then shared;
+    ``rho`` is checked first, so 2.0 and True raise DomainError as before.
+    """
+    return _rule(_count(rho, "rho", hi=_MAX_RHO))
 
 
 @dataclass(frozen=True)

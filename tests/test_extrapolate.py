@@ -188,6 +188,16 @@ def test_fine_ladder_extrapolates_at_fourth_order_at_every_shared_point():
         np.testing.assert_allclose(level.order_ex[1:-1], 4.0, rtol=0, atol=0.05)
 
 
+def test_cubic_ladder_superconverges_at_nearly_sixth_order():
+    # r = 3 and p = n**3: N = 327 680 nodes at n = 16, cheap because the
+    # factored Newton step is O(N); eps_S = O(h**6) at the partition points
+    report = convergence_study(get_problem("rpk-aks"), 3, [4, 8, 16], tol=1e-14)
+    worst = np.array([np.max(level.eps_s) for level in report.levels])
+    orders = np.log2(worst[:-1] / worst[1:])
+    assert orders[0] < orders[1]
+    assert orders[1] > 5.5
+
+
 def test_convergence_study_keeps_the_solver_error_type():
     # x(s) - int_0^1 x(t) dt = 1 has no solution: the solver raises
     # SingularOperatorError, and the ladder must not turn it into its base class.

@@ -1,5 +1,6 @@
 """Discrete Galerkin solver and its iterated (superconvergent) variant."""
 
+import collections
 import dataclasses
 import os
 import subprocess
@@ -30,8 +31,8 @@ from urysohn import (
     solve_nystrom,
 )
 from urysohn import nystrom
-from urysohn.galerkin import _jacobian
-from urysohn.nystrom import NystromSolution, _km
+from urysohn.galerkin import _jacobian_at
+from urysohn.nystrom import _SUM_BLOCK, NystromSolution, _km, _prefix, _suffix
 from urysohn.problems import _sinh_greens_factors
 from urysohn.projection import basis_matrix
 
@@ -124,7 +125,7 @@ def test_jacobian_matches_finite_differences_small_system():
 
     zvals = PiecewiseLegendre(n, r, coeffs)(grid.nodes)
     wb_solver = grid.node_weights[:block, None] * basis
-    analytic = _jacobian(pb, grid, zvals, wb_solver, n, r)
+    analytic = _jacobian_at(pb, grid, wb_solver, n, r)(zvals)
     np.testing.assert_allclose(analytic, fd, atol=1e-5)
 
 
@@ -379,9 +380,8 @@ def _factored_against_dense(pb, n, r):
     grid = sol.grid
     wb = grid.node_weights[: grid.offsets.size, None] * basis_matrix(grid, r)
     z = sol.z_g_node_values.values
-    np.testing.assert_allclose(
-        _jacobian(pb, grid, z, wb, n, r), _jacobian(dense, grid, z, wb, n, r), rtol=0, atol=1e-15
-    )
+    jacobians = [_jacobian_at(problem, grid, wb, n, r)(z) for problem in (pb, dense)]
+    np.testing.assert_allclose(*jacobians, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n, r", [(10, 1), (20, 1), (40, 1), (3, 2), (6, 2), (12, 2)])
@@ -435,7 +435,7 @@ def test_dense_nystrom_solve_at_gamma_700_solves_the_factored_equation():
 
 
 def test_factored_galerkin_solve_and_z_s_evaluate_no_kernel_entry(monkeypatch):
-    # _km and _jacobian read the declared factors; only the dense twin calls the kernel
+    # _km_at and _jacobian_at read the declared factors; only the dense twin calls the kernel
     calls = []
     kernel = nystrom.kernel_eval
 
@@ -455,6 +455,92 @@ def test_factored_galerkin_solve_and_z_s_evaluate_no_kernel_entry(monkeypatch):
         counts.append(len(calls))
     assert counts[0] == 0
     assert counts[1] > 0
+
+
+def counted_factors(pb, calls):
+    """pb with each declared factor counting its calls in ``calls`` under its name."""
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    names = (("a", "beta", "beta_du"), ("c", "delta", "delta_du"))
+    return dataclasses.replace(
+        pb,
+        factors=tuple(
+            tuple(counted(name, g) for name, g in zip(side_names, side))
+            for side_names, side in zip(names, pb.factors)
+        ),
+    )
+
+
+def test_factored_solve_evaluates_the_s_factors_once_per_solve():
+    calls = collections.Counter()
+    spy = counted_factors(get_problem("rpk-aks"), calls)
+    iterations = []
+    for tol in (1e-6, 1e-12):
+        calls.clear()
+        sol = solve_discrete_galerkin(spy, 10, 1, tol=tol)
+        k = sol.newton_iterations
+        iterations.append(k)
+        # a(s) and c(s) once for K_m at the nodes and once for the Jacobian,
+        # whatever the iteration count; the t factors once per residual or step
+        assert calls["a"] == calls["c"] == 2
+        assert calls["beta"] == calls["delta"] == k
+        assert calls["beta_du"] == calls["delta_du"] == k - 1
+    assert iterations[0] < iterations[1]
+
+
+def test_a_nonfinite_s_factor_raises_the_kernel_error_naming_the_problem():
+    # a(s) is NaN only on (0.6, 0.7), off the sample the factors are checked on
+    gamma = np.sqrt(12.0)
+    l_s, r_t, p_s, q_t = _sinh_greens_factors(gamma)
+    pb = hammerstein_problem(
+        "nan-a",
+        *sinh_greens_branches(gamma),
+        lambda t, u: u,
+        lambda t, u: np.ones_like(u),
+        f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        g_factors=(lambda s: np.where((s > 0.6) & (s < 0.7), np.nan, l_s(s)), r_t, p_s, q_t),
+    )
+    with pytest.raises(EvaluationError, match="kernel of 'nan-a' returned non-finite"):
+        solve_discrete_galerkin(pb, 4, 1)
+
+
+def test_blocked_prefix_sums_are_the_plain_cumsum_up_to_one_block():
+    rng = np.random.default_rng(23)
+    short = rng.normal(size=(_SUM_BLOCK, 2, 3))
+    np.testing.assert_array_equal(_prefix(short), np.cumsum(short, axis=0))
+    np.testing.assert_array_equal(_prefix(short, 1), np.cumsum(short, axis=1))
+    np.testing.assert_array_equal(_suffix(short), np.cumsum(short[::-1], axis=0)[::-1])
+    long = rng.normal(size=(3 * _SUM_BLOCK + 5, 2))
+    exact = np.cumsum(long.astype(np.longdouble), axis=0)
+    assert np.max(np.abs(_prefix(long) - exact)) <= 1e-12
+    np.testing.assert_allclose(_suffix(long), _prefix(long[::-1])[::-1], rtol=0, atol=0)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here"
+)
+def test_factored_km_on_many_nodes_keeps_its_rounding_small():
+    # N = 204 800: a sequential cumsum over all nodes is off by 9e-15 of max|K_m|
+    pb = get_problem("rpk-aks")
+    grid = build_grid(102_400, 1, gauss_rule(2))
+    x = pb.exact(grid.nodes)
+    s = np.linspace(0.0, 1.0, 1001)
+    (a, beta, _), (c, delta, _) = pb.factors
+    w = grid.node_weights[:, None].astype(np.longdouble)
+    below = np.cumsum(w * beta(grid.nodes, x), axis=0)
+    above = np.cumsum((w * delta(grid.nodes, x))[::-1], axis=0)[::-1]
+    zero = np.zeros((1, 1), dtype=np.longdouble)
+    below, above = np.concatenate([zero, below]), np.concatenate([above, zero])
+    j = np.searchsorted(grid.nodes, s, side="right")
+    reference = np.sum(a(s) * below[j] + c(s) * above[j], axis=-1)
+    got = _km(pb, grid, x, s)
+    assert np.max(np.abs(got - reference)) <= 2e-15 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("case", ["gamma-720", "nan-above-3"])

@@ -87,6 +87,13 @@ def test_rule_is_deterministic():
     np.testing.assert_array_equal(a.weights, b.weights)
 
 
+def test_rules_are_built_once_and_their_order_checked_first():
+    assert gauss_rule(2) is gauss_rule(2) is gauss_rule(np.int64(2))
+    for bad in (2.0, True, "2", [2]):
+        with pytest.raises(DomainError):
+            gauss_rule(bad)
+
+
 def test_rule_arrays_are_immutable():
     rule = gauss_rule(3)
     with pytest.raises(ValueError):
