@@ -9,7 +9,6 @@ rows.  All output is plain text (no color codes).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -186,9 +185,7 @@ def _add_common(sub, multi_n: bool):
     sub.add_argument("--output", default=None, help="output path (default stdout)")
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The command-line parser, built once per process: parsing leaves it unchanged."""
+def build_parser() -> _Parser:
     parser = _Parser(prog="urysohn", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -289,8 +286,9 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     """Entry point; returns the process exit code instead of raising."""
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -22,11 +22,13 @@ exclusive suffix sum, an off-diagonal Jacobian block is the product of two
 (r, rank) matrices, and a diagonal block comes from prefix sums within the
 block: O(N * r**2 * rank) + (n*r)**2 per step, plus the (n*r)**3 LU.  Its
 z_S at M points then takes O((N + M) * rank + M log N) instead of M*N.
-What does not depend on the iterate, a(s) and c(s) at the nodes with their
-node counts and projections, is built once per solve, so a step evaluates
-only the t factors beta, delta and their u-derivatives.  K_m, in the
-residual and in z_S, comes from ``nystrom._km_at``, the one reader of
-declared factors for K_m; besides it only :func:`_jacobian_at` reads them.
+What does not depend on the iterate is built once per solve: a(s) and
+c(s) at the nodes, by ``nystrom._s_factors``, shared by K_m and the
+Jacobian, with the node counts of K_m and the projections of the Jacobian,
+so a step evaluates only the t factors beta, delta and their
+u-derivatives.  K_m, in the residual and in z_S, comes from
+``nystrom._km_at``, the one reader of declared factors for K_m; besides it
+only :func:`_jacobian_at` reads them.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ from .nystrom import (
     _newton,
     _newton_controls,
     _prefix,
+    _s_factors,
     _suffix,
 )
-from .problems import UrysohnProblem, _check_finite
+from .problems import UrysohnProblem, _check_finite, _factor_values
 from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
 from .quadrature import CompositeGrid, _count, build_grid, gauss_rule, values_on
 
@@ -87,19 +90,15 @@ class GalerkinSolution(_NewtonTrace):
         return self.z_g.r
 
 
-def _at_nodes(g, count, *args):
-    """A declared factor g(*args) as a (count, rank) array over the nodes."""
-    out = np.asarray(g(*args), dtype=float)
-    return out if out.shape[:1] == (count,) else np.broadcast_to(out, (count,) + out.shape[-1:])
-
-
-def _jacobian_at(problem, grid, wb, n, r):
+def _jacobian_at(problem, grid, wb, n, r, s_factors):
     """``z -> I - M`` where M[(j,eta),(k,xi)] = <K_m'(z) phi_{k,xi}, phi_{j,eta}>.
 
-    With declared factors the half that does not depend on z is built here,
-    once: a(nodes) and c(nodes), checked finite, their projections ``rows``
-    for the blocks off the diagonal, their weighted products for the blocks
-    on it, and the mask that picks the lower side below the diagonal.
+    ``s_factors`` is ``nystrom._s_factors(problem, grid.nodes)``: a(nodes)
+    and c(nodes), or None without declared factors.  With them the half
+    that does not depend on z is built here, once: their projections
+    ``rows`` for the blocks off the diagonal, their weighted products for
+    the blocks on it, and the mask that picks the lower side below the
+    diagonal.
     """
     block = grid.offsets.size
     if problem.factors is None:
@@ -121,11 +120,9 @@ def _jacobian_at(problem, grid, wb, n, r):
 
         return dense
 
-    s_parts = [_at_nodes(side[0], grid.node_count, grid.nodes) for side in problem.factors]
-    _check_finite(problem, *s_parts)
     wb_a = wb[None, :, :, None]
     halves = []
-    for s_part in s_parts:
+    for s_part in s_factors:
         s_part = s_part.reshape(n, block, -1)  # [j, a, q]: a_q(t_a), t_a in block j
         # off the diagonal, M[j, :, k, :] = (wb.T @ s_part[j]) @ (wb.T @ t_part[k]).T
         halves.append((np.einsum("ae,jaq->jeq", wb, s_part), wb_a * s_part[:, :, None, :]))
@@ -137,7 +134,7 @@ def _jacobian_at(problem, grid, wb, n, r):
     def factored(zvals):
         blocks = []
         for (rows, weighted), side, sums in zip(halves, problem.factors, diagonal_sums):
-            t_part = _at_nodes(side[2], grid.node_count, grid.nodes, zvals)
+            t_part = _factor_values(side[2], grid.node_count, grid.nodes, zvals)
             _check_finite(problem, t_part)
             t_part = t_part.reshape(n, block, -1)  # [k, b, q]: beta_du_q(t_b, z_b), t_b in block k
             cols = np.einsum("bx,kbq->kxq", wb, t_part)
@@ -212,8 +209,9 @@ def solve_discrete_galerkin(
         return (coeffs @ basis.T).ravel()
 
     _newton_controls(tol, max_iter)  # before the first kernel or factor call
-    km = _km_at(problem, grid, grid.nodes)
-    jacobian = _jacobian_at(problem, grid, wb, n, r)
+    s_factors = _s_factors(problem, grid.nodes)
+    km = _km_at(problem, grid, grid.nodes, s_factors)
+    jacobian = _jacobian_at(problem, grid, wb, n, r, s_factors)
 
     def residual(coeffs):
         return coeffs - _coefficients(km(node_values(coeffs)), grid, basis) - c_f

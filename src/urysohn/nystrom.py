@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, EvaluationError, SingularOperatorError
-from .problems import UrysohnProblem, _check_finite, kernel_eval
+from .problems import UrysohnProblem, _check_finite, _factor_values, kernel_eval
 from .quadrature import CompositeGrid, _count, _frozen_array, _unit_points, build_grid, values_on
 
 __all__ = ["GridFunction", "apply_km", "km_prime_apply", "solve_nystrom", "NystromSolution"]
@@ -187,7 +187,8 @@ def _prefix(values, axis=0):
     A sequential cumsum within runs of _SUM_BLOCK entries, each run offset
     by the last sum of the run before it, so that the rounding grows with
     the run length and the run count, not with the length; up to
-    _SUM_BLOCK entries this is the plain cumsum, bit for bit.
+    _SUM_BLOCK entries this is the plain cumsum, bit for bit, and returned
+    by it, since the run loop costs ~10 us more per call at such sizes.
     """
     if np.shape(values)[axis] <= _SUM_BLOCK:
         return np.cumsum(values, axis)
@@ -207,7 +208,17 @@ def _suffix(values, axis=0):
     return _prefix(values[back], axis)[back]
 
 
-def _km_at(problem, grid, s):
+def _s_factors(problem, flat):
+    """a(s) and c(s) at the points ``flat`` (1-d), each a (points, rank) array, checked
+    finite; None without declared factors."""
+    if problem.factors is None:
+        return None
+    parts = [_factor_values(side[0], flat.size, flat) for side in problem.factors]
+    _check_finite(problem, *parts)
+    return parts
+
+
+def _km_at(problem, grid, s, s_factors=None):
     """``xvals -> K_m(x)(s)`` at points s (an array, any shape and order); the one reader
     of declared factors for K_m.
 
@@ -218,18 +229,18 @@ def _km_at(problem, grid, s):
     lower branch there, as in kernel_eval.  Both are blocked sums,
     :func:`_prefix` and :func:`_suffix`; ``above`` is summed from the end,
     since total - below loses digits near 1.  j, a(s) and c(s) do not
-    depend on x: they are found, and checked finite, once, here.
+    depend on x: they are found once, here, unless ``s_factors`` passes
+    a(s) and c(s) from :func:`_s_factors` at ``np.ravel(s)``.
     :func:`apply_km`, :func:`km_prime_apply` and the Nystrom residual and
     Newton step call the dense sweep directly: they are the dense
     reference, and the benchmark pins their kernel counts.
     """
     if problem.factors is None:
         return lambda xvals: _weighted_kernel_sum(problem, grid, xvals, s, order=0)
-    (a, beta, _), (c, delta, _) = problem.factors
+    (_, beta, _), (_, delta, _) = problem.factors
     flat = np.ravel(s)
     j = np.searchsorted(grid.nodes, flat, side="right")
-    a_s, c_s = (np.asarray(g(flat), dtype=float) for g in (a, c))
-    _check_finite(problem, a_s, c_s)
+    a_s, c_s = _s_factors(problem, flat) if s_factors is None else s_factors
     w = grid.node_weights[:, None]
 
     def km(xvals):

@@ -89,11 +89,10 @@ _SAMPLE_U = np.array([-1.5, 0.5, 2.0])
 _FACTOR_RTOL = 1e-12
 
 
-def _side_products(side, s, t, u, order):
-    """One side's factors at the points (s, t, u), broadcast to a common (points, rank) shape."""
-    a, beta, beta_du = side
-    right = (beta, beta_du)[order](t, u)
-    return np.broadcast_arrays(np.asarray(a(s), dtype=float), np.asarray(right, dtype=float))
+def _factor_values(g, count, *args):
+    """A declared factor g(*args) at ``count`` points as a (count, rank) array, broadcast."""
+    out = np.asarray(g(*args), dtype=float)
+    return out if out.shape[:1] == (count,) else np.broadcast_to(out, (count,) + out.shape[-1:])
 
 
 def _check_factors(problem: UrysohnProblem) -> None:
@@ -117,9 +116,11 @@ def _check_factors(problem: UrysohnProblem) -> None:
     )
     for side, (name, on_side, *branch) in zip(sides, branches):
         args = (s[on_side], t[on_side], u[on_side])
+        size = args[0].size
+        left = _factor_values(side[0], size, args[0])
         for order, what in enumerate(("value", "du")):
             want = np.broadcast_to(np.asarray(branch[order](*args), dtype=float), args[0].shape)
-            left, right = _side_products(side, *args, order)
+            right = _factor_values(side[1 + order], size, *args[1:])
             got = np.sum(left * right, axis=-1)
             finite = np.isfinite(want)
             scale = float(np.max(np.abs(want[finite]), initial=0.0))

@@ -45,6 +45,7 @@ from urysohn import (
     solve_nystrom,
 )
 from urysohn.galerkin import _jacobian_at
+from urysohn.nystrom import _s_factors
 from urysohn.projection import basis_matrix, discrete_inner_product
 
 # ---------------------------------------------------------------------------
@@ -391,7 +392,7 @@ def test_criterion_08_galerkin_identities():
         fd[:, k] = (residual(up) - residual(dn)) / (2 * eps)
     zvals = PiecewiseLegendre(n, r, coeffs)(grid.nodes)
     wb = grid.node_weights[:block, None] * bm
-    jac_dev = np.abs(_jacobian_at(pb, grid, wb, n, r)(zvals) - fd).max()
+    jac_dev = np.abs(_jacobian_at(pb, grid, wb, n, r, _s_factors(pb, grid.nodes))(zvals) - fd).max()
 
     # degenerate kernel: the solution is exactly the forcing
     shape = lambda *args: np.broadcast(*args).shape

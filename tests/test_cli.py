@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from urysohn import bbar, cli, convergence_study, get_problem, problems, register_problem
+from urysohn import bbar, convergence_study, get_problem, problems, register_problem
 from urysohn.cli import format_report, run
 
 
@@ -113,27 +113,6 @@ def test_identical_configs_produce_identical_bytes(capture):
     _, md1, _ = capture(argv_md)
     _, md2, _ = capture(argv_md)
     assert md1 == md2
-
-
-def test_parser_is_built_once_per_process(capture, monkeypatch):
-    inits = []
-    init = cli._Parser.__init__
-
-    def counting(self, *args, **kwargs):
-        inits.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "__init__", counting)
-    argv = ["converge", "--problem", "rpk-aks", "--n", "5,10", "--format", "md"]
-    cli._parser.cache_clear()
-    try:
-        first = capture(argv)
-        built = len(inits)
-        second = capture(argv)
-    finally:
-        cli._parser.cache_clear()  # drop the parser built under the spy
-    assert built > 0 and len(inits) == built
-    assert first == second and first[0] == 0
 
 
 def test_json_report_carries_metadata_and_levels(capture):

@@ -32,7 +32,7 @@ from urysohn import (
 )
 from urysohn import nystrom
 from urysohn.galerkin import _jacobian_at
-from urysohn.nystrom import _SUM_BLOCK, NystromSolution, _km, _prefix, _suffix
+from urysohn.nystrom import _SUM_BLOCK, NystromSolution, _km, _prefix, _s_factors, _suffix
 from urysohn.problems import _sinh_greens_factors
 from urysohn.projection import basis_matrix
 
@@ -125,7 +125,7 @@ def test_jacobian_matches_finite_differences_small_system():
 
     zvals = PiecewiseLegendre(n, r, coeffs)(grid.nodes)
     wb_solver = grid.node_weights[:block, None] * basis
-    analytic = _jacobian_at(pb, grid, wb_solver, n, r)(zvals)
+    analytic = _jacobian_at(pb, grid, wb_solver, n, r, _s_factors(pb, grid.nodes))(zvals)
     np.testing.assert_allclose(analytic, fd, atol=1e-5)
 
 
@@ -380,7 +380,10 @@ def _factored_against_dense(pb, n, r):
     grid = sol.grid
     wb = grid.node_weights[: grid.offsets.size, None] * basis_matrix(grid, r)
     z = sol.z_g_node_values.values
-    jacobians = [_jacobian_at(problem, grid, wb, n, r)(z) for problem in (pb, dense)]
+    jacobians = [
+        _jacobian_at(problem, grid, wb, n, r, _s_factors(problem, grid.nodes))(z)
+        for problem in (pb, dense)
+    ]
     np.testing.assert_allclose(*jacobians, rtol=0, atol=1e-15)
 
 
@@ -486,9 +489,9 @@ def test_factored_solve_evaluates_the_s_factors_once_per_solve():
         sol = solve_discrete_galerkin(spy, 10, 1, tol=tol)
         k = sol.newton_iterations
         iterations.append(k)
-        # a(s) and c(s) once for K_m at the nodes and once for the Jacobian,
+        # a(s) and c(s) once, shared by K_m at the nodes and the Jacobian,
         # whatever the iteration count; the t factors once per residual or step
-        assert calls["a"] == calls["c"] == 2
+        assert calls["a"] == calls["c"] == 1
         assert calls["beta"] == calls["delta"] == k
         assert calls["beta_du"] == calls["delta_du"] == k - 1
     assert iterations[0] < iterations[1]
