@@ -14,7 +14,8 @@ entry for basis functions phi_{j,eta} (row) and phi_{k,xi} (column) is
 delta - <K_m'(z) phi_{k,xi}, phi_{j,eta}>, assembled per coarse
 subinterval so no (m*rho)**2 matrix is ever stored.
 
-A Newton step costs 2*N**2 kernel evaluations on N = n*p*rho nodes, unless
+A Newton step costs 2*N**2 kernel evaluations on N = n*p*rho nodes, the
+rows of ``nystrom._sweep`` (one coarse subinterval per block), unless
 the problem declares ``factors`` (each branch a sum of ``rank`` products
 a(s) * beta(t, u)).  Then K_m at the sorted nodes is one inclusive prefix
 sum (t <= s, ties to the lower branch as in ``kernel_eval``) and one
@@ -40,15 +41,14 @@ import numpy as np
 from .nystrom import (
     GridFunction,
     _NewtonTrace,
-    _blocks,
     _extension,
-    _kernel_pieces,
     _km_at,
     _newton,
     _newton_controls,
     _prefix,
     _s_factors,
     _suffix,
+    _sweep,
 )
 from .problems import UrysohnProblem, _check_finite, _factor_values
 from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
@@ -106,16 +106,11 @@ def _jacobian_at(problem, grid, wb, n, r, s_factors):
         def dense(zvals):
             m_full = np.empty((n, r, n, r))
 
-            def share(coarse):
-                inner = np.empty((r, grid.node_count))  # eta x global node b
-                for j in coarse:
-                    rows = grid.nodes[j * block : (j + 1) * block]
-                    # one branch on the earlier and the later coarse blocks, both within block j
-                    for c0, c1, piece in _kernel_pieces(problem, rows, grid.nodes, zvals, 1):
-                        inner[:, c0:c1] = wb.T @ piece
-                    m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, block), wb)
+            def write(idx, rows):  # dk/du on the rows of one coarse subinterval
+                inner = (wb.T @ rows).reshape(r, n, block)  # eta x (k, b)
+                m_full[idx[0] // block] = np.einsum("ekb,bx->ekx", inner, wb)
 
-            _blocks(share, n, grid.node_count**2)
+            _sweep(problem, grid, zvals, grid.nodes, 1, write, size=block)
             return _identity_minus(m_full, n * r)
 
         return dense

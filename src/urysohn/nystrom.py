@@ -29,14 +29,16 @@ independence the coarse iterates track the fine ones, so that start lies in
 the fine solve's quadratic basin and the fine solve needs fewer of its
 O(N**2) kernel sweeps.
 
-Every O(N**2) kernel sweep (K_m and K_m' at points, the node residual and
-the Newton operator, and the dense Galerkin matrix) runs in independent row
-blocks, which :func:`_blocks` shares out over all usable CPUs: a thread
-writes only the rows of its own blocks, and a block is computed by the same
-calls whichever thread runs it, so a result has the same bits at any worker
-count.  Each parallel sweep makes its own thread pool and joins it before
-it returns, so no thread outlives a sweep and a fork needs no handling; a
-sweep started inside a share runs serially.
+:func:`_sweep` is the one producer of kernel entries at many points: it
+hands the rows of each block of sorted points to a reducer, which sums
+them for K_m and K_m' at points and the node residual, stores them as the
+float32 Newton operator, or projects them into the dense Galerkin matrix.
+:func:`_blocks` shares the independent blocks out over all usable CPUs: a
+thread writes only the rows of its own blocks, and a block is computed by
+the same calls whichever thread runs it, so a result has the same bits at
+any worker count.  Each parallel sweep makes its own thread pool and joins
+it before it returns, so no thread outlives a sweep and a fork needs no
+handling; a sweep started inside a share runs serially.
 """
 
 from __future__ import annotations
@@ -132,52 +134,55 @@ def _blocks(fn, count, entries):
         future.result()
 
 
-def _kernel_pieces(problem, s_rows, nodes, xvals, order):
-    """Yield (c0, c1, kernel(s_rows, nodes[c0:c1], xvals[c0:c1])) covering all columns.
+def _sweep(problem, grid, xvals, s, order, write, size=_CHUNK):
+    """write(idx, rows) for each block idx, rows[i, b] = kernel(s[idx[i]], node_b, xvals_b).
 
-    ``nodes`` must be sorted.  Columns below ``lo`` lie on or below every
-    row and columns from ``hi`` on above every row, so kernel_eval calls
-    only one branch there; only the band [lo, hi) between the smallest and
-    the largest row needs both, and it is narrow when the rows are close.
-    Each range is cut into pieces of at most _PIECE entries, so that the
-    temporaries a branch builds fit in cache and are reused from the heap
-    instead of being mapped and page-faulted afresh for every piece.
+    The indices of the 1-d array s, in the ascending order of the points,
+    are cut into blocks of ``size``, which run through :func:`_blocks`,
+    each share with a float64 row buffer that write may overwrite but not
+    keep; write must store only into what its block owns.  The nodes on or
+    below every point of a block and those above every point take one
+    kernel branch each; only the band between the smallest and the largest
+    point needs both, and it is narrow.  Each range is cut into pieces of
+    at most _PIECE entries, so that the temporaries a branch builds fit in
+    cache and are reused from the heap instead of being mapped and
+    page-faulted afresh for every piece.
     """
-    lo = np.searchsorted(nodes, s_rows.min(), side="right")
-    hi = np.searchsorted(nodes, s_rows.max(), side="right")
-    width = max(1, _PIECE // s_rows.size)
-    for r0, r1 in ((0, lo), (lo, hi), (hi, nodes.size)):
-        for c0 in range(r0, r1, width):
-            c1 = min(c0 + width, r1)
-            yield c0, c1, kernel_eval(
-                problem, s_rows[:, None], nodes[None, c0:c1], xvals[None, c0:c1], order
-            )
+    perm = np.argsort(s, kind="stable")
+    nodes = grid.nodes
+
+    def share(blocks):
+        buf = np.empty((min(size, s.size), nodes.size))
+        for block in blocks:
+            idx = perm[block * size : (block + 1) * size]
+            rows, points = buf[: idx.size], s[idx, None]
+            lo, hi = np.searchsorted(nodes, (points[0, 0], points[-1, 0]), side="right")
+            width = max(1, _PIECE // idx.size)
+            for r0, r1 in ((0, lo), (lo, hi), (hi, nodes.size)):
+                for c0 in range(r0, r1, width):
+                    c1 = min(c0 + width, r1)
+                    rows[:, c0:c1] = kernel_eval(
+                        problem, points, nodes[None, c0:c1], xvals[None, c0:c1], order
+                    )
+            write(idx, rows)
+
+    _blocks(share, -(-s.size // size), s.size * nodes.size)
 
 
 def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None):
     """sum_b W_b [extra_b] * kernel(s_a, node_b, xvals_b) at points s of any shape.
 
-    The one path from points to K_m values: all points go through the blocks
-    of _CHUNK in ascending order, so that a block needs both kernel branches
-    only near the diagonal, and no value depends on the order of the points.
-    The blocks run through :func:`_blocks`, each share with its own rows.
+    The one path from points to K_m values, a :func:`_sweep`: no value
+    depends on the order of the points.
     """
     s = np.asarray(s, dtype=float)
-    flat = s.ravel()
     w = grid.node_weights if weight_extra is None else grid.node_weights * weight_extra
-    perm = np.argsort(flat, kind="stable")
-    out = np.empty(flat.size)
+    out = np.empty(s.size)
 
-    def share(blocks):
-        buf = np.empty((min(_CHUNK, flat.size), grid.node_count))
-        for block in blocks:
-            idx = perm[block * _CHUNK : (block + 1) * _CHUNK]
-            rows = buf[: idx.size]
-            for c0, c1, piece in _kernel_pieces(problem, flat[idx], grid.nodes, xvals, order):
-                rows[:, c0:c1] = piece
-            out[idx] = rows @ w
+    def write(idx, rows):
+        out[idx] = rows @ w
 
-    _blocks(share, -(-flat.size // _CHUNK), flat.size * grid.node_count)
+    _sweep(problem, grid, xvals, s.ravel(), order, write)
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
@@ -222,7 +227,7 @@ def _km_at(problem, grid, s, s_factors=None):
     """``xvals -> K_m(x)(s)`` at points s (an array, any shape and order); the one reader
     of declared factors for K_m.
 
-    Without factors this is the dense sweep :func:`_weighted_kernel_sum`.
+    Without factors this is the dense sum :func:`_weighted_kernel_sum`.
     With them K_m(x)(s) = a(s) . below[j] + c(s) . above[j] with j the count
     of nodes <= s, below[j] = sum_{b < j} W_b beta(node_b, x_b) and above[j]
     = sum_{b >= j} W_b delta(node_b, x_b), so a point on a node takes the
@@ -232,8 +237,8 @@ def _km_at(problem, grid, s, s_factors=None):
     depend on x: they are found once, here, unless ``s_factors`` passes
     a(s) and c(s) from :func:`_s_factors` at ``np.ravel(s)``.
     :func:`apply_km`, :func:`km_prime_apply` and the Nystrom residual and
-    Newton step call the dense sweep directly: they are the dense
-    reference, and the benchmark pins their kernel counts.
+    Newton step sum the kernel entries of :func:`_sweep` even with factors:
+    they are the dense reference, and the benchmark pins their kernel counts.
     """
     if problem.factors is None:
         return lambda xvals: _weighted_kernel_sum(problem, grid, xvals, s, order=0)
@@ -265,8 +270,8 @@ def apply_km(problem: UrysohnProblem, x: GridFunction, s):
 
     ``s`` may have any shape and any order: a scalar gives a float, an array
     an array of its shape, and no value depends on the order of the points.
-    Sums N kernel entries per point even with declared factors: it is the
-    dense reference of every factored path and the Nystrom solve's sweep.
+    Sums the N kernel entries per point of :func:`_sweep` even with
+    declared factors: it is the dense reference of every factored path.
     """
     return _weighted_kernel_sum(problem, x.grid, x.values, _unit_points(s), order=0)
 
@@ -515,21 +520,19 @@ def solve_nystrom(
     a = np.empty((n_nodes, n_nodes), dtype=np.float32)  # K_m'(x), rewritten by every step
     w = grid.node_weights
 
-    def newton_step(x, res):
+    def write(idx, rows):
         # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b), rounded once to float32
-        def rows(blocks):
-            for block in blocks:
-                a0, a1 = block * _CHUNK, min((block + 1) * _CHUNK, n_nodes)
-                for c0, c1, piece in _kernel_pieces(problem, grid.nodes[a0:a1], grid.nodes, x, 1):
-                    try:
-                        with np.errstate(over="raise"):
-                            np.multiply(piece, w[c0:c1], out=a[a0:a1, c0:c1])
-                    except FloatingPointError:
-                        raise EvaluationError(
-                            f"W*dk/du of {problem.name!r} overflows the float32 Newton operator"
-                        ) from None
+        np.multiply(rows, w, out=rows)
+        try:
+            with np.errstate(over="raise"):
+                a[idx] = rows
+        except FloatingPointError:
+            raise EvaluationError(
+                f"W*dk/du of {problem.name!r} overflows the float32 Newton operator"
+            ) from None
 
-        _blocks(rows, -(-n_nodes // _CHUNK), n_nodes * n_nodes)
+    def newton_step(x, res):
+        _sweep(problem, grid, x, grid.nodes, 1, write)
         return _gmres(lambda v: v - a @ v.astype(np.float32), -res)
 
     x, trace = _newton(

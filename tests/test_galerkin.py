@@ -460,6 +460,31 @@ def test_factored_galerkin_solve_and_z_s_evaluate_no_kernel_entry(monkeypatch):
     assert counts[1] > 0
 
 
+def test_dense_solve_and_z_s_evaluate_the_closed_form_kernel_count(monkeypatch):
+    # Without factors a residual sums N**2 kernel values, a Newton step N**2
+    # values of dk/du, and z_S at M points M*N values.
+    sizes = {0: [], 1: []}  # appended from several threads, summed after
+    kernel = nystrom.kernel_eval
+
+    def counting(problem, s, t, u, order):
+        out = kernel(problem, s, t, u, order)
+        sizes[order].append(out.size)
+        return out
+
+    monkeypatch.setattr(nystrom, "kernel_eval", counting)
+    n = 6
+    sol = solve_discrete_galerkin(dataclasses.replace(get_problem("rpk-aks"), factors=None), n, 2)
+    iters, nodes = sol.newton_iterations, sol.grid.node_count
+    assert nodes == 864 and iters > 1
+    solve = {order: sum(counts) for order, counts in sizes.items()}
+    assert solve == {0: iters * nodes**2, 1: (iters - 1) * nodes**2}
+    iterated_eval(sol, sol.grid.partition_points)
+    assert {order: sum(counts) for order, counts in sizes.items()} == {
+        0: solve[0] + (n + 1) * nodes,
+        1: solve[1],
+    }
+
+
 def counted_factors(pb, calls):
     """pb with each declared factor counting its calls in ``calls`` under its name."""
 

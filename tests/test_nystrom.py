@@ -733,6 +733,32 @@ def test_a_kernel_failure_in_a_parallel_sweep_raises_the_kernel_error(bad):
     assert sol.final_residual_norm <= 1e-12
 
 
+def test_newton_operator_overflow_in_a_worker_share_is_an_evaluation_error(monkeypatch):
+    # 600 nodes: 5 row blocks in 2 shares, the calling thread's rows below
+    # 256 and a worker's from 256 on.  W_b * dk/du ~ 1e42 / 600 is beyond the
+    # float32 range only on rows s > 0.6, all the worker's.
+    threads, hot = set(), set()
+
+    def du(s, t, u):
+        threads.add(threading.get_ident())
+        if np.any(s > 0.6):
+            hot.add(threading.get_ident())
+        shape = np.broadcast(s, t, u).shape
+        return np.where(s > 0.6, 1e42, np.cos(np.broadcast_to(u, shape) + s - t))
+
+    def sine(s, t, u):
+        return np.sin(np.broadcast_to(u, np.broadcast(s, t, u).shape) + s - t)
+
+    pb = sine_problem(sine, du)
+    monkeypatch.setattr(nystrom, "_workers", lambda: 2)
+    with pytest.raises(EvaluationError, match="float32 Newton operator"):
+        solve_nystrom(pb, builtin_grid(300), initial=pb.f)
+    caller = threading.get_ident()
+    assert len(threads) == 2 and hot == threads - {caller}
+    alive = {thread.ident for thread in threading.enumerate()}
+    assert threads & alive == {caller}  # no worker outlives the failed sweep
+
+
 def test_parallel_sweeps_keep_the_callers_errstate():
     def log_zero(s, t, u):  # log(0) = -inf warns unless the caller ignores it
         shape = np.broadcast(s, t, u).shape
