@@ -14,8 +14,7 @@ entry for basis functions phi_{j,eta} (row) and phi_{k,xi} (column) is
 delta - <K_m'(z) phi_{k,xi}, phi_{j,eta}>, assembled per coarse
 subinterval so no (m*rho)**2 matrix is ever stored.
 
-A Newton step costs 2*N**2 kernel evaluations on N = n*p*rho nodes, the
-rows of ``nystrom._sweep`` (one coarse subinterval per block), unless
+A Newton step costs 2*N**2 kernel evaluations on N = n*p*rho nodes, unless
 the problem declares ``factors`` (each branch a sum of ``rank`` products
 a(s) * beta(t, u)).  Then K_m at the sorted nodes is one inclusive prefix
 sum (t <= s, ties to the lower branch as in ``kernel_eval``) and one
@@ -106,9 +105,11 @@ def _jacobian_at(problem, grid, wb, n, r, s_factors):
         def dense(zvals):
             m_full = np.empty((n, r, n, r))
 
-            def write(idx, rows):  # dk/du on the rows of one coarse subinterval
-                inner = (wb.T @ rows).reshape(r, n, block)  # eta x (k, b)
-                m_full[idx[0] // block] = np.einsum("ekb,bx->ekx", inner, wb)
+            def write(j, idx, pieces):  # dk/du on the rows of coarse subinterval j
+                inner = np.empty((r, grid.node_count))  # eta x global node b
+                for c0, c1, piece in pieces:
+                    inner[:, c0:c1] = wb.T @ piece
+                m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, block), wb)
 
             _sweep(problem, grid, zvals, grid.nodes, 1, write, size=block)
             return _identity_minus(m_full, n * r)

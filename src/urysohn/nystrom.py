@@ -29,16 +29,15 @@ independence the coarse iterates track the fine ones, so that start lies in
 the fine solve's quadratic basin and the fine solve needs fewer of its
 O(N**2) kernel sweeps.
 
-:func:`_sweep` is the one producer of kernel entries at many points: it
-hands the rows of each block of sorted points to a reducer, which sums
-them for K_m and K_m' at points and the node residual, stores them as the
-float32 Newton operator, or projects them into the dense Galerkin matrix.
-:func:`_blocks` shares the independent blocks out over all usable CPUs: a
-thread writes only the rows of its own blocks, and a block is computed by
-the same calls whichever thread runs it, so a result has the same bits at
-any worker count.  Each parallel sweep makes its own thread pool and joins
-it before it returns, so no thread outlives a sweep and a fork needs no
-handling; a sweep started inside a share runs serially.
+Every O(N**2) kernel sweep is a :func:`_sweep`, which hands each row block
+of sorted points, in column pieces, to a reducer: K_m and K_m' at points and
+the node residual sum them, the Newton step stores them as its operator, the
+dense Galerkin matrix projects them.  :func:`_blocks` shares the blocks out
+over all usable CPUs: a thread writes only the rows of its own blocks, and a
+block is computed by the same calls whichever thread runs it, so a result
+has the same bits at any worker count.  Each parallel sweep makes its own
+thread pool and joins it before it returns, so no thread outlives a sweep
+and a fork needs no handling; a sweep started inside a share runs serially.
 """
 
 from __future__ import annotations
@@ -135,36 +134,33 @@ def _blocks(fn, count, entries):
 
 
 def _sweep(problem, grid, xvals, s, order, write, size=_CHUNK):
-    """write(idx, rows) for each block idx, rows[i, b] = kernel(s[idx[i]], node_b, xvals_b).
+    """write(block, idx, pieces) for each block of ``size`` points of s, in ascending order.
 
-    The indices of the 1-d array s, in the ascending order of the points,
-    are cut into blocks of ``size``, which run through :func:`_blocks`,
-    each share with a float64 row buffer that write may overwrite but not
-    keep; write must store only into what its block owns.  The nodes on or
-    below every point of a block and those above every point take one
-    kernel branch each; only the band between the smallest and the largest
-    point needs both, and it is narrow.  Each range is cut into pieces of
-    at most _PIECE entries, so that the temporaries a branch builds fit in
-    cache and are reused from the heap instead of being mapped and
-    page-faulted afresh for every piece.
+    idx indexes the 1-d s; pieces yields (c0, c1, kernel(s[idx, None],
+    nodes[c0:c1], xvals[c0:c1])) over all columns.  Nodes on or below every
+    point of the block, and those above every point, take one kernel branch
+    each; only the narrow band between needs both.  Each range is cut into
+    pieces of at most _PIECE entries, so that a branch's temporaries fit in
+    cache and are reused from the heap, not page-faulted afresh.  The blocks
+    run through :func:`_blocks`; write must store only what its block owns.
     """
     perm = np.argsort(s, kind="stable")
     nodes = grid.nodes
 
+    def pieces(points):
+        lo, hi = np.searchsorted(nodes, (points[0, 0], points[-1, 0]), side="right")
+        width = max(1, _PIECE // points.size)
+        for r0, r1 in ((0, lo), (lo, hi), (hi, nodes.size)):
+            for c0 in range(r0, r1, width):
+                c1 = min(c0 + width, r1)
+                yield c0, c1, kernel_eval(
+                    problem, points, nodes[None, c0:c1], xvals[None, c0:c1], order
+                )
+
     def share(blocks):
-        buf = np.empty((min(size, s.size), nodes.size))
         for block in blocks:
             idx = perm[block * size : (block + 1) * size]
-            rows, points = buf[: idx.size], s[idx, None]
-            lo, hi = np.searchsorted(nodes, (points[0, 0], points[-1, 0]), side="right")
-            width = max(1, _PIECE // idx.size)
-            for r0, r1 in ((0, lo), (lo, hi), (hi, nodes.size)):
-                for c0 in range(r0, r1, width):
-                    c1 = min(c0 + width, r1)
-                    rows[:, c0:c1] = kernel_eval(
-                        problem, points, nodes[None, c0:c1], xvals[None, c0:c1], order
-                    )
-            write(idx, rows)
+            write(block, idx, pieces(s[idx, None]))
 
     _blocks(share, -(-s.size // size), s.size * nodes.size)
 
@@ -179,7 +175,10 @@ def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None):
     w = grid.node_weights if weight_extra is None else grid.node_weights * weight_extra
     out = np.empty(s.size)
 
-    def write(idx, rows):
+    def write(block, idx, pieces):
+        rows = np.empty((idx.size, grid.node_count))
+        for c0, c1, piece in pieces:
+            rows[:, c0:c1] = piece
         out[idx] = rows @ w
 
     _sweep(problem, grid, xvals, s.ravel(), order, write)
@@ -236,9 +235,10 @@ def _km_at(problem, grid, s, s_factors=None):
     since total - below loses digits near 1.  j, a(s) and c(s) do not
     depend on x: they are found once, here, unless ``s_factors`` passes
     a(s) and c(s) from :func:`_s_factors` at ``np.ravel(s)``.
-    :func:`apply_km`, :func:`km_prime_apply` and the Nystrom residual and
-    Newton step sum the kernel entries of :func:`_sweep` even with factors:
-    they are the dense reference, and the benchmark pins their kernel counts.
+    :func:`apply_km`, :func:`km_prime_apply` and the Nystrom residual sum,
+    and the Newton step stores, the kernel entries of :func:`_sweep` even
+    with factors: they are the dense reference, and the benchmark pins their
+    kernel counts.
     """
     if problem.factors is None:
         return lambda xvals: _weighted_kernel_sum(problem, grid, xvals, s, order=0)
@@ -520,16 +520,16 @@ def solve_nystrom(
     a = np.empty((n_nodes, n_nodes), dtype=np.float32)  # K_m'(x), rewritten by every step
     w = grid.node_weights
 
-    def write(idx, rows):
+    def write(block, idx, pieces):
         # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b), rounded once to float32
-        np.multiply(rows, w, out=rows)
-        try:
-            with np.errstate(over="raise"):
-                a[idx] = rows
-        except FloatingPointError:
-            raise EvaluationError(
-                f"W*dk/du of {problem.name!r} overflows the float32 Newton operator"
-            ) from None
+        for c0, c1, piece in pieces:
+            try:
+                with np.errstate(over="raise"):
+                    a[idx, c0:c1] = piece * w[c0:c1]
+            except FloatingPointError:
+                raise EvaluationError(
+                    f"W*dk/du of {problem.name!r} overflows the float32 Newton operator"
+                ) from None
 
     def newton_step(x, res):
         _sweep(problem, grid, x, grid.nodes, 1, write)

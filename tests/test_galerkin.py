@@ -313,6 +313,35 @@ def test_solve_matches_dense_reference_bit_for_bit(crossing_problem, n, r):
     np.testing.assert_array_equal(sol.z_g.coeffs, coeffs)
 
 
+@pytest.mark.parametrize("n, r", [(6, 2), (12, 2)])
+def test_dense_jacobian_beyond_one_piece_matches_the_piecewise_reference_bit_for_bit(n, r):
+    # N = 864 and 6912 nodes: the rows of a coarse subinterval span several
+    # column pieces of _PIECE // block, and the projection of each piece is
+    # its own GEMM, so no p*rho x N row block is ever stored.
+    pb = dataclasses.replace(get_problem("rpk-aks"), factors=None)
+    grid = build_grid(n, n**r, gauss_rule(minimal_rho(r)))  # the solver's default grid
+    nodes, block = grid.nodes, grid.offsets.size
+    width = nystrom._PIECE // block
+    assert grid.node_count > width
+    wb = grid.node_weights[:block, None] * basis_matrix(grid, r)
+    z = np.cos(3.0 * nodes)
+    m_full = np.empty((n, r, n, r))
+    for j in range(n):
+        rows = nodes[j * block : (j + 1) * block, None]
+        lo, hi = np.searchsorted(nodes, (rows[0, 0], rows[-1, 0]), side="right")
+        inner = np.empty((r, grid.node_count))
+        for r0, r1 in ((0, lo), (lo, hi), (hi, grid.node_count)):
+            for c0 in range(r0, r1, width):
+                c1 = min(c0 + width, r1)
+                t, u = nodes[None, c0:c1], z[None, c0:c1]
+                deriv = np.where(t <= rows, pb.kappa_lower_du(rows, t, u), pb.kappa_upper_du(rows, t, u))
+                inner[:, c0:c1] = wb.T @ deriv
+        m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, block), wb)
+    jac = -m_full.reshape(n * r, n * r)
+    jac[np.diag_indices_from(jac)] += 1.0
+    np.testing.assert_array_equal(_jacobian_at(pb, grid, wb, n, r, None)(z), jac)
+
+
 def test_iterated_solution_checks_the_domain_before_the_forcing(sqrt_forcing_problem):
     sol = solve_discrete_galerkin(sqrt_forcing_problem, 4, 1)
     for s in (1.5, np.array([0.5, 1.5]), np.nan, np.array([0.5, np.nan])):
