@@ -14,8 +14,9 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """An abscissa outside [0, 1], or an integer argument -- a count, degree,
-    index, order or size cap -- that is not an integer or is out of range."""
+    """An abscissa outside [0, 1], an integer argument -- a count, degree,
+    index or order -- that is not an integer or is out of range, or a solve
+    whose planned bytes exceed physical memory."""
 
 
 class EvaluationError(ValueError):

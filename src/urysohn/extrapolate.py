@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridMismatchError
-from .galerkin import iterated_eval, solve_discrete_galerkin
+from .galerkin import _plan, iterated_eval, solve_discrete_galerkin
 from .nystrom import _NewtonTrace
 from .problems import UrysohnProblem
 from .quadrature import _count, _frozen_array, values_on
@@ -170,6 +170,10 @@ def convergence_study(
     p, rho, tol, max_iter :
         Passed to :func:`solve_discrete_galerkin` at every level; p
         defaults to n**r per level.
+
+    The solver's size check runs on the last level, the largest, before the
+    first is solved: a ladder whose top level does not fit in physical
+    memory raises DomainError at once.
     """
     ns = []
     for n in n_list:
@@ -186,6 +190,7 @@ def convergence_study(
         raise ValueError(f"each n must double the previous one, got {ns}")
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
+    _plan(ns[-1], r, p, rho)
 
     solved = []
     z_s = []

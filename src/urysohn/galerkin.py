@@ -51,7 +51,7 @@ from .nystrom import (
 )
 from .problems import UrysohnProblem, _check_finite, _factor_values
 from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
-from .quadrature import CompositeGrid, _count, build_grid, gauss_rule, values_on
+from .quadrature import CompositeGrid, _count, _fits, build_grid, gauss_rule, values_on
 
 __all__ = [
     "GalerkinSolution",
@@ -59,8 +59,6 @@ __all__ = [
     "iterated_eval",
     "partition_point_errors",
 ]
-
-_MAX_COEFFS = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +156,18 @@ def _identity_minus(m_full, size):
     return jac
 
 
+def _plan(n, r, p, rho):
+    """(n, r, p, rule) of a solve, checked, and p defaulted to n**r; DomainError,
+    with the byte count, if its planned bytes exceed physical memory."""
+    n = _count(n, "n")
+    rule = gauss_rule(minimal_rho(r) if rho is None else rho)
+    r = _check_order(r, rule.npoints)
+    p = _count(n**r if p is None else p, "p")
+    nodes = n * p * rule.npoints
+    _fits(8 * nodes * (12 + 4 * r) + 32 * (n * r) ** 2, f"a Galerkin solve on {nodes} nodes")
+    return n, r, p, rule
+
+
 def solve_discrete_galerkin(
     problem: UrysohnProblem,
     n: int,
@@ -175,7 +185,7 @@ def solve_discrete_galerkin(
     n : int
         Coarse subinterval count, a positive integer.
     r : int
-        Local polynomial order (degree < r), a positive integer; n*r <= 2000.
+        Local polynomial order (degree < r), a positive integer.
     p : int, optional
         Fine subintervals per coarse one.  Default n**r, which makes
         fine_h**2 = h**(2r+2) -- small enough for both the h**(2r)
@@ -188,14 +198,17 @@ def solve_discrete_galerkin(
         F(c) = c - <K_m(z_c), phi> - c_f (finite, > 0), and the iteration
         cap (a positive integer).  A ``tol`` below the rounding floor
         eps*max|c| of the iterate raises SingularOperatorError.
-    """
-    n = _count(n, "n")
-    rule = gauss_rule(minimal_rho(r) if rho is None else rho)
-    r = _check_order(r, rule.npoints)
-    if p is None:
-        p = n**r
-    _count(n * r, "coefficient count n*r (the Jacobian takes 8*(n*r)**2 bytes)", hi=_MAX_COEFFS)
 
+    A solve on N = n*p*rho nodes plans 8*N*(12 + 4*r) + 32*(n*r)**2 bytes:
+    its node arrays and four copies of the (n*r)**2 Newton matrix.  That is
+    the tracemalloc peak of a solve with rank-1 declared factors, r = 1..4,
+    to within 20 %.  If it exceeds physical memory, DomainError, with the
+    byte count, comes before the grid is built.  Factors of rank q take
+    about 8*N*(5 + 5*r)*(q - 1) bytes more, and a solve without factors
+    holds one 128 x N float64 row block per worker of its kernel sweeps;
+    the plan counts neither.
+    """
+    n, r, p, rule = _plan(n, r, p, rho)
     grid = build_grid(n, p, rule)
     basis = basis_matrix(grid, r)  # (block, r), identical on every subinterval
     wb = grid.node_weights[: basis.shape[0], None] * basis

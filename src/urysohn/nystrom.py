@@ -23,6 +23,8 @@ does not grow with the node count, and its worst case, a full Krylov space,
 costs O(N**3) like an LU.  K_m'(x) alone is stored, in float32; GMRES adds
 I exactly and works in float64, and the float64 node residual decides
 convergence (Kelley, "Newton's method in mixed precision", SIAM Rev. 2022).
+Its 4*N**2 bytes are the solve's size limit: a grid on which they exceed
+physical memory is refused, with the byte count, by ``quadrature._fits``.
 On a grid of more than 256 panels Newton starts, unless told otherwise,
 from the natural extension of the solution on 64 panels: by mesh
 independence the coarse iterates track the fine ones, so that start lies in
@@ -52,11 +54,18 @@ import numpy as np
 
 from .errors import ConvergenceError, EvaluationError, SingularOperatorError
 from .problems import UrysohnProblem, _check_finite, _factor_values, kernel_eval
-from .quadrature import CompositeGrid, _count, _frozen_array, _unit_points, build_grid, values_on
+from .quadrature import (
+    CompositeGrid,
+    _count,
+    _fits,
+    _frozen_array,
+    _unit_points,
+    build_grid,
+    values_on,
+)
 
 __all__ = ["GridFunction", "apply_km", "km_prime_apply", "solve_nystrom", "NystromSolution"]
 
-_MAX_NODES = 5000  # bounds the assembled float32 K_m'(x), 4 * N**2 bytes
 _CHUNK = 128  # points per row block of K_m and of the Nystrom Jacobian
 _PIECE = 1 << 16  # kernel entries per kernel_eval call
 _SUM_BLOCK = 8192  # entries per sequential run of a factored prefix sum
@@ -467,8 +476,8 @@ def solve_nystrom(
     ----------
     problem : UrysohnProblem
     grid : CompositeGrid
-        Node count m*rho must not exceed 5000, which bounds the assembled
-        float32 K_m'(x)'s 4*N**2 bytes.
+        Its N = m*rho nodes plan 4*N**2 bytes, the float32 K_m'(x), the
+        only N x N array: they must not exceed physical memory.
     tol : float
         Convergence threshold on the sup norm of the node residual
         x - K_m(x) - f; finite and > 0.
@@ -492,10 +501,12 @@ def solve_nystrom(
         If the kernel returns non-finite values, or a W_b*dk/du entry is
         beyond the float32 range of the assembled K_m'(x).
     ValueError
-        If ``tol``, ``max_iter``, ``initial`` or the node count is out of
-        range, before any kernel evaluation.
+        If ``tol``, ``max_iter`` or ``initial`` is out of range, before any
+        kernel evaluation; DomainError, with the byte count, before f and
+        the coarse start too, if 4*N**2 exceeds physical memory.
     """
-    n_nodes = _count(grid.node_count, "nodes N (the Jacobian takes 4*N**2 bytes)", hi=_MAX_NODES)
+    n_nodes = grid.node_count
+    _fits(4 * n_nodes**2, f"the float32 K_m'(x) of {n_nodes} nodes")
 
     f_nodes = values_on(problem.f, grid.nodes)
     if initial is None and grid.n * grid.p > _TWO_GRID_FLOOR:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,6 +206,19 @@ def _count(value, what: str, lo: int = 1, hi: int | None = None) -> int:
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise DomainError(f"{what} must be {bounds}, got {int(value)}")
     return int(value)
+
+
+def _fits(nbytes: int, what: str) -> None:
+    """The one size check: DomainError if ``what``, planned at ``nbytes``
+    bytes, exceeds physical memory (the machine's total, not what is free,
+    so a size gets the same answer on every run); no check where the
+    platform does not report it."""
+    try:
+        total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if 0 < total < nbytes:
+        raise DomainError(f"{what} needs {nbytes} bytes, more than the {total} of physical memory")
 
 
 def _unit_points(t, what: str = "s") -> np.ndarray:

@@ -198,12 +198,11 @@ def test_higher_degree_spaces_converge_faster():
     assert e2 < e1 / 20
 
 
-def test_precision_guard_and_size_caps():
-    pb = get_problem("rpk-aks")
+def test_precision_guard_holds_and_the_old_coefficient_cap_is_gone():
     with pytest.raises(PrecisionError):
-        solve_discrete_galerkin(pb, 4, 2, rho=2)
-    with pytest.raises(ValueError):
-        solve_discrete_galerkin(pb, 2001, 1)
+        solve_discrete_galerkin(get_problem("rpk-aks"), 4, 2, rho=2)
+    sol = solve_discrete_galerkin(zero_kernel_problem(), 2001, 1, p=1)  # n*r = 2001
+    assert sol.newton_iterations == 1
 
 
 def test_partition_point_errors_requires_reference():

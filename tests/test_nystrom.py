@@ -211,10 +211,10 @@ def test_newton_arguments_are_checked_before_any_kernel_evaluation(
         solve_nystrom(kernel_free_problem, builtin_grid(4), **bad)
 
 
-def test_grid_size_cap_is_enforced():
-    pb = get_problem("rpk-aks")
-    with pytest.raises(ValueError):
-        solve_nystrom(pb, build_grid(2600, 1, gauss_rule(2)))
+def test_a_solve_above_the_old_5000_node_cap_runs():
+    sol = solve_nystrom(zero_kernel_problem(), build_grid(2501, 1, gauss_rule(2)))
+    assert sol.grid.node_count == 5002
+    assert sol.newton_iterations == 1
 
 
 def test_solution_evaluation_validates_domain():

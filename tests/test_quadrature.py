@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from urysohn import (
     bbar,
     bernoulli,
     build_grid,
+    convergence_study,
     discrete_inner_product,
     gauss_rule,
     get_problem,
@@ -267,12 +270,6 @@ BOUNDED = {
     "residual_check": (lambda v: residual_check(PROBLEM, PROBLEM.exact, v), 16, None),
     "discrete_inner_product": (lambda v: discrete_inner_product(np.cos, np.sin, v, GRID), 0, 1),
 }
-# size caps -> (call with the size set to v, cap); only cap + 1 is tried, as a
-# solve at the cap takes seconds
-CAPPED = {
-    "solve_nystrom-N": (lambda v: solve_nystrom(PROBLEM, build_grid(v, 1, gauss_rule(1))), 5000),
-    "solve_discrete_galerkin-n*r": (lambda v: solve_discrete_galerkin(PROBLEM, v, 1), 2000),
-}
 
 
 @pytest.mark.parametrize(
@@ -291,11 +288,44 @@ def test_every_bounded_integer_is_checked_by_the_one_integer_check(entry, bad):
         call(np.int64(good))
 
 
-@pytest.mark.parametrize("entry", list(CAPPED))
-def test_size_caps_are_checked_by_the_one_integer_check(entry):
-    call, cap = CAPPED[entry]
-    with pytest.raises(DomainError, match=rf"must be in \[1, {cap}\], got {cap + 1}$"):
-        call(cap + 1)
+PHYSICAL = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+NODES = math.isqrt(PHYSICAL // 4) + 1  # 4*N**2 bytes of Nystrom operator
+COEFFS = math.isqrt(PHYSICAL // 32) + 1  # r = 1, p = 1: N = 2*n, n*r = n
+LADDER = math.isqrt(PHYSICAL // 1152) + 1  # r = 1, p = n: N = 2*n**2 at n = 2*LADDER
+# oversize solve -> (call on a problem, its planned bytes); every size is the
+# smallest of its kind past physical memory
+OVERSIZE = {
+    "solve_nystrom": (
+        lambda pb: solve_nystrom(pb, build_grid(NODES, 1, gauss_rule(1))),
+        4 * NODES**2,
+    ),
+    "solve_discrete_galerkin": (
+        lambda pb: solve_discrete_galerkin(pb, COEFFS, 1, p=1),
+        8 * 2 * COEFFS * 16 + 32 * COEFFS**2,
+    ),
+    # only the top level is oversize: it is checked before the first is solved
+    "convergence_study": (
+        lambda pb: convergence_study(pb, 1, [LADDER, 2 * LADDER]),
+        8 * 2 * (2 * LADDER) ** 2 * 16 + 32 * (2 * LADDER) ** 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(OVERSIZE))
+def test_oversize_solve_is_refused_before_any_allocation(entry, kernel_free_problem):
+    call, nbytes = OVERSIZE[entry]
+    assert nbytes > PHYSICAL
+    tracemalloc.start()
+    try:
+        # a kernel call raises AssertionError, not DomainError
+        with pytest.raises(
+            DomainError, match=f" needs {nbytes} bytes, more than the {PHYSICAL} of physical memory$"
+        ):
+            call(kernel_free_problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def _level():
