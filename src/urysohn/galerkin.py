@@ -23,12 +23,12 @@ exclusive suffix sum, an off-diagonal Jacobian block is the product of two
 block: O(N * r**2 * rank) + (n*r)**2 per step, plus the (n*r)**3 LU.  Its
 z_S at M points then takes O((N + M) * rank + M log N) instead of M*N.
 What does not depend on the iterate is built once per solve: a(s) and
-c(s) at the nodes, by ``nystrom._s_factors``, shared by K_m and the
-Jacobian, with the node counts of K_m and the projections of the Jacobian,
-so a step evaluates only the t factors beta, delta and their
-u-derivatives.  K_m, in the residual and in z_S, comes from
-``nystrom._km_at``, the one reader of declared factors for K_m; besides it
-only :func:`_jacobian_at` reads them.
+c(s) at the nodes, shared by K_m and the Jacobian, with the node counts of
+K_m and the projections and the block mask of the Jacobian, so a step
+evaluates only the t factors beta, delta and their u-derivatives.  K_m, in
+the residual and in z_S, comes from ``nystrom._km_at``; it and
+:func:`_jacobian_at` read the factors through ``problems._factors``, the
+one reader of declared factors.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ from .nystrom import (
     _newton,
     _newton_controls,
     _prefix,
-    _s_factors,
     _suffix,
     _sweep,
 )
-from .problems import UrysohnProblem, _check_finite, _factor_values
+from .problems import UrysohnProblem, _factors
 from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
 from .quadrature import CompositeGrid, _count, _fits, build_grid, gauss_rule, values_on
 
@@ -90,12 +89,12 @@ class GalerkinSolution(_NewtonTrace):
 def _jacobian_at(problem, grid, wb, n, r, s_factors):
     """``z -> I - M`` where M[(j,eta),(k,xi)] = <K_m'(z) phi_{k,xi}, phi_{j,eta}>.
 
-    ``s_factors`` is ``nystrom._s_factors(problem, grid.nodes)``: a(nodes)
+    ``s_factors`` is ``problems._factors(problem, 0, grid.nodes)``: a(nodes)
     and c(nodes), or None without declared factors.  With them the half
     that does not depend on z is built here, once: their projections
     ``rows`` for the blocks off the diagonal, their weighted products for
-    the blocks on it, and the mask that picks the lower side below the
-    diagonal.
+    the blocks on it, and the 1-byte mask ``above`` of the entries above the
+    diagonal blocks, where M is the upper side's product.
     """
     block = grid.offsets.size
     if problem.factors is None:
@@ -116,27 +115,26 @@ def _jacobian_at(problem, grid, wb, n, r, s_factors):
 
     wb_a = wb[None, :, :, None]
     halves = []
-    for s_part in s_factors:
-        s_part = s_part.reshape(n, block, -1)  # [j, a, q]: a_q(t_a), t_a in block j
-        # off the diagonal, M[j, :, k, :] = (wb.T @ s_part[j]) @ (wb.T @ t_part[k]).T
-        halves.append((np.einsum("ae,jaq->jeq", wb, s_part), wb_a * s_part[:, :, None, :]))
-    j = np.arange(n)
-    below = (j[:, None] > j[None, :])[:, None, :, None]
     # within block j, the lower side sums b <= a and the upper side b > a
-    diagonal_sums = (lambda v: _prefix(v, 1), _after)
+    for s_part, sums in zip(s_factors, (lambda v: _prefix(v, 1), _after)):
+        s_part = s_part.reshape(n, block, -1)  # [j, a, q]: a_q(t_a), t_a in block j
+        # off the diagonal, M[(j, e), (k, x)] = rows[(j, e)] . cols[(k, x)]
+        rows = np.einsum("ae,jaq->jeq", wb, s_part).reshape(n * r, -1)
+        halves.append((rows, wb_a * s_part[:, :, None, :], sums))
+    j = np.arange(n)
+    coarse = np.repeat(j, r)  # the coarse subinterval of each coefficient
+    above = coarse[:, None] < coarse[None, :]
 
     def factored(zvals):
-        blocks = []
-        for (rows, weighted), side, sums in zip(halves, problem.factors, diagonal_sums):
-            t_part = _factor_values(side[2], grid.node_count, grid.nodes, zvals)
-            _check_finite(problem, t_part)
+        products, diags = [], []
+        for (rows, weighted, sums), t_part in zip(halves, _factors(problem, 2, grid.nodes, zvals)):
             t_part = t_part.reshape(n, block, -1)  # [k, b, q]: beta_du_q(t_b, z_b), t_b in block k
-            cols = np.einsum("bx,kbq->kxq", wb, t_part)
-            diag = np.einsum("jaeq,jaxq->jex", weighted, sums(wb_a * t_part[:, :, None, :]))
-            blocks.append((np.einsum("jeq,kxq->jekx", rows, cols), diag))
-        (lower, lower_diag), (upper, upper_diag) = blocks
-        m_full = np.where(below, lower, upper)
-        m_full[j, :, j, :] = lower_diag + upper_diag
+            cols = np.einsum("bx,kbq->kxq", wb, t_part).reshape(n * r, -1)
+            products.append((rows, cols))
+            diags.append(np.einsum("jaeq,jaxq->jex", weighted, sums(wb_a * t_part[:, :, None, :])))
+        m_full = np.einsum("iq,kq->ik", *products[0])  # the lower side, then the upper above
+        np.copyto(m_full, np.einsum("iq,kq->ik", *products[1]), where=above)
+        m_full.reshape(n, r, n, r)[j, :, j, :] = diags[0] + diags[1]
         return _identity_minus(m_full, n * r)
 
     return factored
@@ -150,9 +148,9 @@ def _after(values):
 
 
 def _identity_minus(m_full, size):
-    """I - M as a (size, size) matrix, from M in (n, r, n, r) blocks."""
-    jac = -m_full.reshape(size, size)
-    jac.ravel()[:: size + 1] += 1.0  # a view: jac is a new contiguous array
+    """I - M as a (size, size) matrix, in place, from a contiguous M of size**2 entries."""
+    jac = np.negative(m_full, out=m_full).reshape(size, size)  # views: m_full is contiguous
+    jac.ravel()[:: size + 1] += 1.0
     return jac
 
 
@@ -164,7 +162,7 @@ def _plan(n, r, p, rho):
     r = _check_order(r, rule.npoints)
     p = _count(n**r if p is None else p, "p")
     nodes = n * p * rule.npoints
-    _fits(8 * nodes * (12 + 4 * r) + 32 * (n * r) ** 2, f"a Galerkin solve on {nodes} nodes")
+    _fits(8 * nodes * (12 + 4 * r) + 17 * (n * r) ** 2, f"a Galerkin solve on {nodes} nodes")
     return n, r, p, rule
 
 
@@ -199,14 +197,15 @@ def solve_discrete_galerkin(
         cap (a positive integer).  A ``tol`` below the rounding floor
         eps*max|c| of the iterate raises SingularOperatorError.
 
-    A solve on N = n*p*rho nodes plans 8*N*(12 + 4*r) + 32*(n*r)**2 bytes:
-    its node arrays and four copies of the (n*r)**2 Newton matrix.  That is
-    the tracemalloc peak of a solve with rank-1 declared factors, r = 1..4,
-    to within 20 %.  If it exceeds physical memory, DomainError, with the
-    byte count, comes before the grid is built.  Factors of rank q take
-    about 8*N*(5 + 5*r)*(q - 1) bytes more, and a solve without factors
-    holds one 128 x N float64 row block per worker of its kernel sweeps;
-    the plan counts neither.
+    A solve on N = n*p*rho nodes plans 8*N*(12 + 4*r) + 17*(n*r)**2 bytes:
+    its node arrays, and the float64 Newton matrix with one more (n*r)**2
+    product and a 1-byte mask while it is built.  That is the tracemalloc
+    peak of a solve with rank-1 declared factors, r = 1..4, to within 20 %.
+    If it exceeds physical memory, DomainError, with the byte count, comes
+    before the grid is built.  Factors of rank q take about
+    8*N*(5 + 5*r)*(q - 1) bytes more, and a solve without factors holds one
+    128 x N float64 row block per worker of its kernel sweeps; the plan
+    counts neither.
     """
     n, r, p, rule = _plan(n, r, p, rho)
     grid = build_grid(n, p, rule)
@@ -218,7 +217,7 @@ def solve_discrete_galerkin(
         return (coeffs @ basis.T).ravel()
 
     _newton_controls(tol, max_iter)  # before the first kernel or factor call
-    s_factors = _s_factors(problem, grid.nodes)
+    s_factors = _factors(problem, 0, grid.nodes)
     km = _km_at(problem, grid, grid.nodes, s_factors)
     jacobian = _jacobian_at(problem, grid, wb, n, r, s_factors)
 

@@ -9,11 +9,11 @@ anywhere in [0, 1] come from the natural extension x(s) = f(s) + K_m(x)(s).
 The kernel is evaluated with the correct branch on each side of t = s via
 :func:`urysohn.problems.kernel_eval`, which is what limits the attainable
 accuracy to O(fine_h**2): the diagonal kink sits inside quadrature panels.
-:func:`_km_at` is the one reader of declared ``factors`` for K_m: with
-them, K_m at M points, for the natural extension and the Galerkin residual,
-sums the factors in O((N + M) * rank + M log N), of which the M-point half
-(the node counts j and the s factors) is built once per point set and the
-node half, the blocked prefix and suffix sums :func:`_prefix` and
+:func:`_km_at` sums declared ``factors``, read by ``problems._factors``, the
+one reader of them: K_m at M points, for the natural extension and the
+Galerkin residual, takes O((N + M) * rank + M log N), of which the M-point
+half (the node counts j and the s factors) is built once per point set and
+the node half, the blocked prefix and suffix sums :func:`_prefix` and
 :func:`_suffix`, once per iterate; :func:`apply_km`, :func:`km_prime_apply`
 and the Newton solve always sum kernel entries.
 
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, EvaluationError, SingularOperatorError
-from .problems import UrysohnProblem, _check_finite, _factor_values, kernel_eval
+from .problems import UrysohnProblem, _check_finite, _factors, kernel_eval
 from .quadrature import (
     CompositeGrid,
     _count,
@@ -221,19 +221,9 @@ def _suffix(values, axis=0):
     return _prefix(values[back], axis)[back]
 
 
-def _s_factors(problem, flat):
-    """a(s) and c(s) at the points ``flat`` (1-d), each a (points, rank) array, checked
-    finite; None without declared factors."""
-    if problem.factors is None:
-        return None
-    parts = [_factor_values(side[0], flat.size, flat) for side in problem.factors]
-    _check_finite(problem, *parts)
-    return parts
-
-
 def _km_at(problem, grid, s, s_factors=None):
-    """``xvals -> K_m(x)(s)`` at points s (an array, any shape and order); the one reader
-    of declared factors for K_m.
+    """``xvals -> K_m(x)(s)`` at points s (an array, any shape and order); the one path
+    from declared factors to K_m.
 
     Without factors this is the dense sum :func:`_weighted_kernel_sum`.
     With them K_m(x)(s) = a(s) . below[j] + c(s) . above[j] with j the count
@@ -243,7 +233,7 @@ def _km_at(problem, grid, s, s_factors=None):
     :func:`_prefix` and :func:`_suffix`; ``above`` is summed from the end,
     since total - below loses digits near 1.  j, a(s) and c(s) do not
     depend on x: they are found once, here, unless ``s_factors`` passes
-    a(s) and c(s) from :func:`_s_factors` at ``np.ravel(s)``.
+    a(s) and c(s), ``problems._factors(problem, 0, np.ravel(s))``.
     :func:`apply_km`, :func:`km_prime_apply` and the Nystrom residual sum,
     and the Newton step stores, the kernel entries of :func:`_sweep` even
     with factors: they are the dense reference, and the benchmark pins their
@@ -251,14 +241,13 @@ def _km_at(problem, grid, s, s_factors=None):
     """
     if problem.factors is None:
         return lambda xvals: _weighted_kernel_sum(problem, grid, xvals, s, order=0)
-    (_, beta, _), (_, delta, _) = problem.factors
     flat = np.ravel(s)
     j = np.searchsorted(grid.nodes, flat, side="right")
-    a_s, c_s = _s_factors(problem, flat) if s_factors is None else s_factors
+    a_s, c_s = _factors(problem, 0, flat) if s_factors is None else s_factors
     w = grid.node_weights[:, None]
 
     def km(xvals):
-        wbeta, wdelta = (w * np.asarray(g(grid.nodes, xvals), dtype=float) for g in (beta, delta))
+        wbeta, wdelta = (w * g for g in _factors(problem, 1, grid.nodes, xvals))
         below = np.zeros((grid.node_count + 1, wbeta.shape[1]))
         above = np.zeros((grid.node_count + 1, wdelta.shape[1]))
         below[1:], above[:-1] = _prefix(wbeta), _suffix(wdelta)

@@ -95,6 +95,17 @@ def _factor_values(g, count, *args):
     return out if out.shape[:1] == (count,) else np.broadcast_to(out, (count,) + out.shape[-1:])
 
 
+def _factors(problem: UrysohnProblem, which: int, *args):
+    """The one reader of declared factors: factor ``which`` of both sides at the 1-d points
+    args[0], each a (points, rank) array, checked finite; None without factors.  which = 0
+    gives a(s) and c(s), 1 beta and delta at (t, u), 2 their u-derivatives."""
+    if problem.factors is None:
+        return None
+    parts = [_factor_values(side[which], args[0].size, *args) for side in problem.factors]
+    _check_finite(problem, *parts)
+    return parts
+
+
 def _check_factors(problem: UrysohnProblem) -> None:
     """ValueError unless the factors reproduce the branches on the fixed sample."""
     sides = problem.factors

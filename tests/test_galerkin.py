@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,8 @@ from urysohn import (
 )
 from urysohn import nystrom
 from urysohn.galerkin import _jacobian_at
-from urysohn.nystrom import _SUM_BLOCK, NystromSolution, _km, _prefix, _s_factors, _suffix
-from urysohn.problems import _sinh_greens_factors
+from urysohn.nystrom import _SUM_BLOCK, NystromSolution, _km, _prefix, _suffix
+from urysohn.problems import _factors, _sinh_greens_factors
 from urysohn.projection import basis_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -125,7 +126,7 @@ def test_jacobian_matches_finite_differences_small_system():
 
     zvals = PiecewiseLegendre(n, r, coeffs)(grid.nodes)
     wb_solver = grid.node_weights[:block, None] * basis
-    analytic = _jacobian_at(pb, grid, wb_solver, n, r, _s_factors(pb, grid.nodes))(zvals)
+    analytic = _jacobian_at(pb, grid, wb_solver, n, r, _factors(pb, 0, grid.nodes))(zvals)
     np.testing.assert_allclose(analytic, fd, atol=1e-5)
 
 
@@ -397,6 +398,17 @@ def rank_two_problem():
     )
 
 
+def mixed_rank_problem():
+    """rpk-aks with a rank-1 lower side and its upper side as two halves scaled by sqrt(0.5)."""
+    pb = get_problem("rpk-aks")
+    lower, upper = pb.factors
+
+    def halves(g):
+        return lambda *args: np.sqrt(0.5) * np.concatenate([g(*args)] * 2, axis=-1)
+
+    return dataclasses.replace(pb, name="mixed-rank", factors=(lower, tuple(map(halves, upper))))
+
+
 def _factored_against_dense(pb, n, r):
     """Solve with the factors and without; compare coefficients, z_S, Jacobians, iterations."""
     dense = dataclasses.replace(pb, factors=None)
@@ -409,7 +421,7 @@ def _factored_against_dense(pb, n, r):
     wb = grid.node_weights[: grid.offsets.size, None] * basis_matrix(grid, r)
     z = sol.z_g_node_values.values
     jacobians = [
-        _jacobian_at(problem, grid, wb, n, r, _s_factors(problem, grid.nodes))(z)
+        _jacobian_at(problem, grid, wb, n, r, _factors(problem, 0, grid.nodes))(z)
         for problem in (pb, dense)
     ]
     np.testing.assert_allclose(*jacobians, rtol=0, atol=1e-15)
@@ -420,9 +432,44 @@ def test_factored_solve_matches_the_dense_solve(n, r):
     _factored_against_dense(get_problem("rpk-aks"), n, r)
 
 
-@pytest.mark.parametrize("n, r", [(6, 1), (3, 2)])
-def test_rank_two_factors_match_their_dense_twin(n, r):
-    _factored_against_dense(rank_two_problem(), n, r)
+# case -> (problem, n, r); in the mixed case the two sides' products have different inner sizes
+TWINS = {
+    "6-1": (rank_two_problem, 6, 1),
+    "3-2": (rank_two_problem, 3, 2),
+    "mixed-6-1": (mixed_rank_problem, 6, 1),
+    "mixed-3-2": (mixed_rank_problem, 3, 2),
+    "mixed-10-1": (mixed_rank_problem, 10, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(TWINS))
+def test_rank_two_factors_match_their_dense_twin(case):
+    make, n, r = TWINS[case]
+    _factored_against_dense(make(), n, r)
+
+
+# case -> (problem, n, r) of a solve with p = 1
+ONE_MATRIX = {
+    "rpk-aks-1000-1": (lambda: get_problem("rpk-aks"), 1000, 1),
+    "rpk-aks-400-3": (lambda: get_problem("rpk-aks"), 400, 3),
+    "rank-two-1000-1": (rank_two_problem, 1000, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_MATRIX))
+def test_a_factored_newton_step_holds_one_newton_matrix(case):
+    """Peak bytes above the node arrays per entry of the (n*r)**2 Newton matrix: 17 for the
+    matrix, one side's product and the 1-byte mask, where four matrices would take 32."""
+    make, n, r = ONE_MATRIX[case]
+    pb = make()
+    tracemalloc.start()
+    try:
+        solve_discrete_galerkin(pb, n, r, p=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes = n * minimal_rho(r)
+    assert (peak - 8 * nodes * (12 + 4 * r)) / (n * r) ** 2 < 20
 
 
 @pytest.mark.parametrize("gamma", [np.sqrt(12.0), 40.0, 200.0, 700.0])

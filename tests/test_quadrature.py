@@ -290,8 +290,8 @@ def test_every_bounded_integer_is_checked_by_the_one_integer_check(entry, bad):
 
 PHYSICAL = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 NODES = math.isqrt(PHYSICAL // 4) + 1  # 4*N**2 bytes of Nystrom operator
-COEFFS = math.isqrt(PHYSICAL // 32) + 1  # r = 1, p = 1: N = 2*n, n*r = n
-LADDER = math.isqrt(PHYSICAL // 1152) + 1  # r = 1, p = n: N = 2*n**2 at n = 2*LADDER
+COEFFS = math.isqrt(PHYSICAL // 17) + 1  # r = 1, p = 1: N = 2*n, n*r = n
+LADDER = math.isqrt(PHYSICAL // 1092) + 1  # r = 1, p = n: N = 2*n**2 at n = 2*LADDER
 # oversize solve -> (call on a problem, its planned bytes); every size is the
 # smallest of its kind past physical memory
 OVERSIZE = {
@@ -301,12 +301,12 @@ OVERSIZE = {
     ),
     "solve_discrete_galerkin": (
         lambda pb: solve_discrete_galerkin(pb, COEFFS, 1, p=1),
-        8 * 2 * COEFFS * 16 + 32 * COEFFS**2,
+        8 * 2 * COEFFS * 16 + 17 * COEFFS**2,
     ),
     # only the top level is oversize: it is checked before the first is solved
     "convergence_study": (
         lambda pb: convergence_study(pb, 1, [LADDER, 2 * LADDER]),
-        8 * 2 * (2 * LADDER) ** 2 * 16 + 32 * (2 * LADDER) ** 2,
+        8 * 2 * (2 * LADDER) ** 2 * 16 + 17 * (2 * LADDER) ** 2,
     ),
 }
 
