@@ -188,7 +188,8 @@ def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None):
         rows = np.empty((idx.size, grid.node_count))
         for c0, c1, piece in pieces:
             rows[:, c0:c1] = piece
-        out[idx] = rows @ w
+        # a numpy reduction, not a BLAS GEMV: no thread split enters the bits
+        out[idx] = np.einsum("ij,j->i", rows, w)
 
     _sweep(problem, grid, xvals, s.ravel(), order, write)
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
@@ -522,10 +523,14 @@ def solve_nystrom(
 
     def write(block, idx, pieces):
         # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b), rounded once to float32
+        # and stored in place.  grid.nodes is strictly increasing, so _sweep's stable
+        # argsort is the identity and a block's rows are the contiguous run from idx[0].
+        # The kernel runs under the caller's errstate; only the float32 store raises.
+        rows = slice(idx[0], idx[0] + idx.size)
         for c0, c1, piece in pieces:
             try:
                 with np.errstate(over="raise"):
-                    a[idx, c0:c1] = piece * w[c0:c1]
+                    np.multiply(piece, w[c0:c1], out=a[rows, c0:c1], casting="same_kind")
             except FloatingPointError:
                 raise EvaluationError(
                     f"W*dk/du of {problem.name!r} overflows the float32 Newton operator"

@@ -12,12 +12,14 @@ The built-in benchmark ``rpk-aks`` is the Hammerstein problem
 k(s,t,u) = G(s,t) * (gamma**2 * u - 2 * u**3) with G the Green's function
 of -w'' + gamma**2 w under Dirichlet conditions, gamma = sqrt(12), and f
 chosen so that the exact solution is phi(s) = 2/(2s + 1).  It declares
-G's factors, so its Galerkin solve costs O(N) per Newton step.
+G's factors, so its Galerkin solve costs O(N) per Newton step, and its
+branch callables are built from them: a block of dense kernel entries, as
+the Nystrom paths evaluate, costs one broadcast multiply.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -282,7 +284,12 @@ def hammerstein_problem(
     ``g_factors`` (optional) is (L, R, P, Q) with G(s,t) = L(s) * R(t) for
     t <= s and P(s) * Q(t) for t > s, each a scalar function; it becomes
     the problem's ``factors`` (rank 1 on each side), checked against
-    ``g_lower`` and ``g_upper`` like any declared factors.
+    ``g_lower`` and ``g_upper`` like any declared factors.  Once checked,
+    the factors also make the branches: kappa_lower = L(s) * (R(t) *
+    psi(t,u)) and kappa_upper = P(s) * (Q(t) * psi(t,u)), psi_du in the
+    derivatives, so that on a block of s by t points the row in t is formed
+    once and each entry costs one multiply; g_lower and g_upper are not
+    called after construction.
     """
 
     def side(g_s, g_t):
@@ -296,7 +303,7 @@ def hammerstein_problem(
     if g_factors is not None:
         l_s, r_t, p_s, q_t = g_factors
         factors = (side(l_s, r_t), side(p_s, q_t))
-    return UrysohnProblem(
+    problem = UrysohnProblem(
         name=name,
         kappa_lower=lambda s, t, u: g_lower(s, t) * psi(t, u),
         kappa_upper=lambda s, t, u: g_upper(s, t) * psi(t, u),
@@ -306,6 +313,21 @@ def hammerstein_problem(
         exact=exact,
         description=description,
         factors=factors,
+    )
+    if g_factors is None:
+        return problem
+
+    def product(g_s, g_t, h):
+        # the row g_t(t) * h(t, u) first, on the t operands, then one broadcast multiply
+        return lambda s, t, u: g_s(s) * (g_t(t) * h(t, u))
+
+    # the factors passed the check against g_lower and g_upper above
+    return replace(
+        problem,
+        kappa_lower=product(l_s, r_t, psi),
+        kappa_upper=product(p_s, q_t, psi),
+        kappa_lower_du=product(l_s, r_t, psi_du),
+        kappa_upper_du=product(p_s, q_t, psi_du),
     )
 
 

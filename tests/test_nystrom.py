@@ -292,10 +292,9 @@ def test_apply_km_matches_dense_reference_bit_for_bit(crossing_problem):
     rng = np.random.default_rng(5)
     x = GridFunction(grid, 1.0 + 0.5 * np.cos(7.0 * grid.nodes))
     v = GridFunction(grid, rng.normal(size=grid.node_count))
-    # with the nodes themselves (ties t = s) and the partition points;
-    # 211 points x 40 nodes stays below the size at which OpenBLAS splits one
-    # GEMV across threads, so the reference sums each row the same way at any
-    # thread count
+    # with the nodes themselves (ties t = s) and the partition points; the
+    # reference sums each row by the same numpy reduction as apply_km, not by
+    # a BLAS GEMV, whose split across threads would move the last bits
     pts = np.concatenate([rng.random(150), grid.nodes, grid.partition_points])
     rng.shuffle(pts)
     order = np.argsort(pts, kind="stable")
@@ -305,10 +304,10 @@ def test_apply_km_matches_dense_reference_bit_for_bit(crossing_problem):
 
     values = dense_kernel(pb.kappa_lower, pb.kappa_upper, s, t, x.values[None, :])
     km = apply_km(pb, x, ordered)
-    np.testing.assert_array_equal(km, values @ w)
+    np.testing.assert_array_equal(km, np.einsum("ij,j->i", values, w))
     derivs = dense_kernel(pb.kappa_lower_du, pb.kappa_upper_du, s, t, x.values[None, :])
     dkm = km_prime_apply(pb, x, v, ordered)
-    np.testing.assert_array_equal(dkm, derivs @ (w * v.values))
+    np.testing.assert_array_equal(dkm, np.einsum("ij,j->i", derivs, w * v.values))
 
     # the shuffled points get the values of the sorted ones, scattered back
     expected = np.empty_like(km)
@@ -343,19 +342,31 @@ def test_nystrom_jacobian_matches_dense_reference_bit_for_bit(crossing_problem, 
     np.testing.assert_array_equal(operators[0], np.eye(n) - ref)
 
 
-def test_newton_operator_beyond_the_float32_range_is_an_evaluation_error():
-    # W_b * dk/du = 1.25e39 is finite in float64 but not in float32
-    big = lambda s, t, u: np.full(np.broadcast(s, t, u).shape, 1e40)
+@pytest.mark.parametrize(
+    "scale, m, rho",
+    [
+        # W_b * dk/du = 1.25e39 is finite in float64 but not in float32
+        (lambda t: 1e40, 4, 2),
+        # on 1024 nodes (256 panels: no coarse start) only t > 0.9 overflows,
+        # in a later column piece of every 128-row block: W_b * 1e42 >= 6.7e38
+        (lambda t: np.where(t > 0.9, 1e42, 0.1), 256, 4),
+    ],
+    ids=["everywhere", "late-piece"],
+)
+def test_newton_operator_beyond_the_float32_range_is_an_evaluation_error(scale, m, rho):
+    def branch_du(s, t, u):
+        return np.broadcast_to(scale(t), np.broadcast(s, t, u).shape)
+
     pb = UrysohnProblem(
         name="huge-derivative",
-        kappa_lower=lambda s, t, u: 1e40 * np.broadcast_to(u, np.broadcast(s, t, u).shape),
-        kappa_upper=lambda s, t, u: 1e40 * np.broadcast_to(u, np.broadcast(s, t, u).shape),
-        kappa_lower_du=big,
-        kappa_upper_du=big,
+        kappa_lower=lambda s, t, u: branch_du(s, t, u) * u,
+        kappa_upper=lambda s, t, u: branch_du(s, t, u) * u,
+        kappa_lower_du=branch_du,
+        kappa_upper_du=branch_du,
         f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
     )
     with pytest.raises(EvaluationError, match="float32 Newton operator"):
-        solve_nystrom(pb, builtin_grid(4))
+        solve_nystrom(pb, builtin_grid(m, rho))
 
 
 def test_newton_stores_no_float64_node_matrix():
@@ -641,6 +652,33 @@ def test_results_do_not_depend_on_the_cpu_or_blas_thread_count(tmp_path):
         assert (arrays.pop("cpus") == 1) == (run[0] == "pinned")
         for key, values in ref.items():
             assert np.array_equal(values, arrays[key]), (run, key)
+
+
+_BLAS_SCRIPT = """
+import sys
+import numpy as np
+from urysohn import GridFunction, apply_km, build_grid, gauss_rule, get_problem, km_prime_apply
+pb = get_problem("rpk-aks")
+grid = build_grid(2250, 1, gauss_rule(2))
+rng = np.random.default_rng(1)
+pts = rng.random(501)
+x = GridFunction(grid, pb.exact(grid.nodes))
+v = GridFunction(grid, rng.normal(size=grid.node_count))
+np.savez(sys.argv[1], km=apply_km(pb, x, pts), dkm=km_prime_apply(pb, x, v, pts))
+"""
+
+
+def test_dense_sums_at_4500_nodes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a GEMV over 4500 columns across its threads, which
+    # moves the last bits of a row sum; the sweeps' sums do not use BLAS
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.npz"
+        run_child(_BLAS_SCRIPT, str(out), timeout=120, OPENBLAS_NUM_THREADS=threads)
+        with np.load(out) as data:
+            results.append({key: data[key] for key in data.files})
+    for key in ("km", "dkm"):
+        assert np.array_equal(results[0][key], results[1][key]), key
 
 
 _NESTED_SCRIPT = """

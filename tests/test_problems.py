@@ -8,15 +8,20 @@ import pytest
 from urysohn import (
     DomainError,
     EvaluationError,
+    GridFunction,
     UnknownProblemError,
     UrysohnProblem,
+    apply_km,
     available_problems,
+    build_grid,
+    gauss_rule,
     get_problem,
     hammerstein_problem,
     kernel_eval,
     register_problem,
     residual_check,
     sinh_greens_branches,
+    solve_nystrom,
 )
 from urysohn.problems import _sinh_greens_factors
 
@@ -215,13 +220,21 @@ def test_kernel_eval_rejects_derivative_orders_above_one(order):
 
 
 
+def _psi(t, u):
+    return GAMMA**2 * u - 2.0 * u**3
+
+
+def _psi_du(t, u):
+    return GAMMA**2 - 6.0 * u * u
+
+
 def _rpk_aks_factors_of_gamma(gamma):
     """rpk-aks's factors with the Green's function of another gamma."""
     return hammerstein_problem(
         "other-gamma",
         *sinh_greens_branches(gamma),
-        lambda t, u: GAMMA**2 * u - 2.0 * u**3,
-        lambda t, u: GAMMA**2 - 6.0 * u * u,
+        _psi,
+        _psi_du,
         lambda s: np.ones_like(np.asarray(s, dtype=float)),
         g_factors=_sinh_greens_factors(gamma),
     ).factors
@@ -259,3 +272,75 @@ def test_factors_that_do_not_reproduce_the_branches_are_rejected(change, match):
     pb = get_problem("rpk-aks")
     with pytest.raises(ValueError, match=match):
         dataclasses.replace(pb, **change(pb))
+
+
+def test_g_factors_are_checked_against_the_greens_branches():
+    # the factor-built branches must not stand in for g_lower and g_upper in the check
+    with pytest.raises(ValueError, match=r"lower branch \(value\)"):
+        hammerstein_problem(
+            "mismatched-g",
+            *sinh_greens_branches(np.sqrt(12.0)),
+            _psi,
+            _psi_du,
+            lambda s: np.ones_like(np.asarray(s, dtype=float)),
+            g_factors=_sinh_greens_factors(4.0),
+        )
+
+
+@pytest.mark.parametrize("gamma", [np.sqrt(12.0), 40.0, 700.0], ids=["sqrt12", "40", "700"])
+def test_factor_built_branches_match_greens_branches_times_psi(gamma):
+    lower, upper = sinh_greens_branches(gamma)
+    pb = hammerstein_problem(
+        "factor-built",
+        lower,
+        upper,
+        _psi,
+        _psi_du,
+        lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        g_factors=_sinh_greens_factors(gamma),
+    )
+    # each branch on its own side of a 101 x 101 grid only: off it, G's
+    # branches overflow at gamma = 700
+    s, t = np.meshgrid(np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 101), indexing="ij")
+    sides = (
+        (t <= s, lower, pb.kappa_lower, pb.kappa_lower_du),
+        (t >= s, upper, pb.kappa_upper, pb.kappa_upper_du),
+    )
+    for on_side, g, branch, branch_du in sides:
+        s_side, t_side = s[on_side], t[on_side]
+        for u in (-1.5, 0.5, 2.0):
+            for built, h in ((branch, _psi), (branch_du, _psi_du)):
+                want = g(s_side, t_side) * h(t_side, u)
+                got = built(s_side, t_side, u)
+                assert np.all(np.isfinite(got))
+                bound = 4 * np.finfo(float).eps * np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= bound
+
+
+def test_nystrom_paths_of_a_factored_hammerstein_problem_never_call_g():
+    calls = []  # appended from the sweep's threads
+    lower, upper = sinh_greens_branches(GAMMA)
+
+    def counted(g):
+        def branch(s, t):
+            calls.append(1)
+            return g(s, t)
+
+        return branch
+
+    pb = hammerstein_problem(
+        "counted-g",
+        counted(lower),
+        counted(upper),
+        _psi,
+        _psi_du,
+        get_problem("rpk-aks").f,
+        g_factors=_sinh_greens_factors(GAMMA),
+    )
+    assert calls  # construction checks the factors against g
+    calls.clear()
+    grid = build_grid(150, 1, gauss_rule(2))  # 300 nodes
+    x = GridFunction(grid, pb.f(grid.nodes))
+    apply_km(pb, x, np.linspace(0.0, 1.0, 101))
+    solve_nystrom(pb, build_grid(20, 1, gauss_rule(2)))
+    assert calls == []
