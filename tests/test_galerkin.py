@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -363,7 +364,15 @@ def test_iterated_solution_does_not_depend_on_the_order_of_the_points(crossing_p
     np.testing.assert_array_equal(iterated_eval(sol, pts), expected)
 
 
-def sinh_problem(gamma, psi=lambda t, u: t * u - u**3, psi_du=lambda t, u: t - 3.0 * u**2):
+# Each problem maker below takes factored=False for the dense twin: the same
+# kernel without factors, with branches that are not built from the factors
+# (hammerstein_problem builds them from g_factors), so a dense reference is
+# independent of the factored path.
+
+
+def sinh_problem(
+    gamma, psi=lambda t, u: t * u - u**3, psi_du=lambda t, u: t - 3.0 * u**2, factored=True
+):
     """G(s,t) * psi(t,u) with the sinh Green's function of gamma and its factors."""
     return hammerstein_problem(
         f"sinh-{gamma:g}",
@@ -371,11 +380,26 @@ def sinh_problem(gamma, psi=lambda t, u: t * u - u**3, psi_du=lambda t, u: t - 3
         psi,
         psi_du,
         f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        g_factors=_sinh_greens_factors(gamma),
+        g_factors=_sinh_greens_factors(gamma) if factored else None,
     )
 
 
-def rank_two_problem():
+def rpk_aks(factored=True):
+    """rpk-aks; its dense twin has the branches G(s,t) * psi(t,u) of G's own branches."""
+    pb = get_problem("rpk-aks")
+    if factored:
+        return pb
+    gamma = np.sqrt(12.0)
+    twin = sinh_problem(
+        gamma,
+        psi=lambda t, u: gamma * gamma * u - 2.0 * u**3,
+        psi_du=lambda t, u: gamma * gamma - 6.0 * u * u,
+        factored=False,
+    )
+    return dataclasses.replace(twin, name=pb.name, f=pb.f, exact=pb.exact)
+
+
+def rank_two_problem(factored=True):
     """k = G(s,t) * (u + s*u**2): a(s) = (L(s), s*L(s)) and beta(t,u) = (R(t)*u, R(t)*u**2)."""
     g_lower, g_upper = sinh_greens_branches(np.sqrt(12.0))
     l_s, r_t, p_s, q_t = _sinh_greens_factors(np.sqrt(12.0))
@@ -394,12 +418,14 @@ def rank_two_problem():
         kappa_lower_du=lambda s, t, u: g_lower(s, t) * (1.0 + 2.0 * s * u),
         kappa_upper_du=lambda s, t, u: g_upper(s, t) * (1.0 + 2.0 * s * u),
         f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        factors=(side(l_s, r_t), side(p_s, q_t)),
+        factors=(side(l_s, r_t), side(p_s, q_t)) if factored else None,
     )
 
 
-def mixed_rank_problem():
+def mixed_rank_problem(factored=True):
     """rpk-aks with a rank-1 lower side and its upper side as two halves scaled by sqrt(0.5)."""
+    if not factored:
+        return dataclasses.replace(rpk_aks(factored=False), name="mixed-rank")
     pb = get_problem("rpk-aks")
     lower, upper = pb.factors
 
@@ -409,9 +435,9 @@ def mixed_rank_problem():
     return dataclasses.replace(pb, name="mixed-rank", factors=(lower, tuple(map(halves, upper))))
 
 
-def _factored_against_dense(pb, n, r):
+def _factored_against_dense(make, n, r):
     """Solve with the factors and without; compare coefficients, z_S, Jacobians, iterations."""
-    dense = dataclasses.replace(pb, factors=None)
+    pb, dense = make(), make(factored=False)
     sol, ref = solve_discrete_galerkin(pb, n, r), solve_discrete_galerkin(dense, n, r)
     assert sol.newton_iterations == ref.newton_iterations
     np.testing.assert_allclose(sol.z_g.coeffs, ref.z_g.coeffs, rtol=0, atol=1e-14)
@@ -429,7 +455,7 @@ def _factored_against_dense(pb, n, r):
 
 @pytest.mark.parametrize("n, r", [(10, 1), (20, 1), (40, 1), (3, 2), (6, 2), (12, 2)])
 def test_factored_solve_matches_the_dense_solve(n, r):
-    _factored_against_dense(get_problem("rpk-aks"), n, r)
+    _factored_against_dense(rpk_aks, n, r)
 
 
 # case -> (problem, n, r); in the mixed case the two sides' products have different inner sizes
@@ -445,7 +471,7 @@ TWINS = {
 @pytest.mark.parametrize("case", list(TWINS))
 def test_rank_two_factors_match_their_dense_twin(case):
     make, n, r = TWINS[case]
-    _factored_against_dense(make(), n, r)
+    _factored_against_dense(make, n, r)
 
 
 # case -> (problem, n, r) of a solve with p = 1
@@ -479,14 +505,14 @@ def test_factored_km_matches_the_dense_km_at_the_nodes(gamma):
     z = 1.0 + np.sin(5.0 * grid.nodes)
     # near the diagonal the dense path also evaluates each branch on the other
     # side, where the sinh product overflows for gamma = 700; np.where drops it
-    dense = apply_km(dataclasses.replace(pb, factors=None), GridFunction(grid, z), grid.nodes)
+    dense_pb = sinh_problem(gamma, factored=False)
+    dense = apply_km(dense_pb, GridFunction(grid, z), grid.nodes)
     factored = _km(pb, grid, z, grid.nodes)
     assert np.max(np.abs(factored - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
 def test_km_at_a_2d_array_of_unsorted_points_keeps_its_shape_and_bits():
-    pb = sinh_problem(700.0)
-    dense_pb = dataclasses.replace(pb, factors=None)
+    pb, dense_pb = sinh_problem(700.0), sinh_problem(700.0, factored=False)
     grid = build_grid(20, 20, gauss_rule(2))
     z = 1.0 + np.sin(5.0 * grid.nodes)
     rng = np.random.default_rng(13)
@@ -507,7 +533,7 @@ def test_km_at_a_2d_array_of_unsorted_points_keeps_its_shape_and_bits():
 def test_dense_nystrom_solve_at_gamma_700_solves_the_factored_equation():
     pb = sinh_problem(700.0)
     grid = build_grid(20, 20, gauss_rule(2))
-    sol = solve_nystrom(dataclasses.replace(pb, factors=None), grid)
+    sol = solve_nystrom(sinh_problem(700.0, factored=False), grid)
     x = sol.node_values.values
     assert np.max(np.abs(x - _km(pb, grid, x, grid.nodes) - 1.0)) <= 1e-12
 
@@ -646,26 +672,34 @@ def test_factored_km_on_many_nodes_keeps_its_rounding_small():
     assert np.max(np.abs(got - reference)) <= 2e-15 * np.max(np.abs(reference))
 
 
+def nan_above_3(factored):
+    """The sqrt(12) sinh problem with psi and psi_du NaN for u > 3."""
+    return sinh_problem(
+        np.sqrt(12.0),
+        psi=lambda t, u: np.where(u > 3.0, np.nan, u),
+        psi_du=lambda t, u: np.where(u > 3.0, np.nan, 1.0),
+        factored=factored,
+    )
+
+
 @pytest.mark.parametrize("case", ["gamma-720", "nan-above-3"])
 def test_nonfinite_factor_values_raise_the_kernel_error(case):
     with np.errstate(over="ignore", invalid="ignore"):  # sinh(720) overflows
         if case == "gamma-720":
-            pb = sinh_problem(720.0)
+            problems = [sinh_problem(720.0, factored=factored) for factored in (True, False)]
         else:  # psi is NaN only for u > 3, off the sample the factors are checked on
-            pb = sinh_problem(
-                np.sqrt(12.0),
-                psi=lambda t, u: np.where(u > 3.0, np.nan, u),
-                psi_du=lambda t, u: np.where(u > 3.0, np.nan, 1.0),
-            )
-            pb = dataclasses.replace(pb, f=lambda s: np.full_like(np.asarray(s, dtype=float), 5.0))
-        for problem in (pb, dataclasses.replace(pb, factors=None)):
+            five = lambda s: np.full_like(np.asarray(s, dtype=float), 5.0)
+            problems = [
+                dataclasses.replace(nan_above_3(factored), f=five) for factored in (True, False)
+            ]
+        for problem in problems:
             with pytest.raises(EvaluationError, match="non-finite"):
                 solve_discrete_galerkin(problem, 4, 1)
 
 
 # The natural extension f + K_m(x) of a problem with factors comes from their
-# prefix and suffix sums; its dense twin (factors=None) sums kernel entries.
-def jump_problem():
+# prefix and suffix sums; its dense twin (factored=False) sums kernel entries.
+def jump_problem(factored=True):
     """k = u/4 for t <= s and u/2 for t > s: at a node, the value shows which branch it took."""
     const = lambda c: lambda *args: np.full(np.broadcast(*args).shape, c)
     return hammerstein_problem(
@@ -675,18 +709,19 @@ def jump_problem():
         lambda t, u: u,
         const(1.0),
         f=const(1.0),
-        g_factors=(const(0.25), const(1.0), const(0.5), const(1.0)),
+        g_factors=(const(0.25), const(1.0), const(0.5), const(1.0)) if factored else None,
     )
 
 
+# case -> (problem maker, n, r)
 EXTENSION_CASES = {
-    "jump": lambda: (jump_problem(), 10, 1),
-    "rpk-aks-r1": lambda: (get_problem("rpk-aks"), 10, 1),
-    "rpk-aks-r2": lambda: (get_problem("rpk-aks"), 3, 2),
-    "rank-two": lambda: (rank_two_problem(), 6, 1),
-    "sinh-40": lambda: (sinh_problem(40.0), 10, 1),
-    "sinh-200": lambda: (sinh_problem(200.0), 10, 1),
-    "sinh-700": lambda: (sinh_problem(700.0), 10, 1),
+    "jump": (jump_problem, 10, 1),
+    "rpk-aks-r1": (rpk_aks, 10, 1),
+    "rpk-aks-r2": (rpk_aks, 3, 2),
+    "rank-two": (rank_two_problem, 6, 1),
+    "sinh-40": (functools.partial(sinh_problem, 40.0), 10, 1),
+    "sinh-200": (functools.partial(sinh_problem, 200.0), 10, 1),
+    "sinh-700": (functools.partial(sinh_problem, 700.0), 10, 1),
 }
 
 
@@ -706,9 +741,9 @@ def extension_points(grid):
     )
 
 
-def assert_matches_dense_twin(evaluate, solution, pts):
-    """evaluate(solution, s) with the factors against the same node values without them."""
-    twin = dataclasses.replace(solution, problem=dataclasses.replace(solution.problem, factors=None))
+def assert_matches_dense_twin(evaluate, solution, dense_pb, pts):
+    """evaluate(solution, s) with the factors against the same node values on the dense twin."""
+    twin = dataclasses.replace(solution, problem=dense_pb)
     # near the diagonal the dense path also evaluates each branch on the other
     # side, where the sinh product overflows for gamma = 700; np.where drops it
     with np.errstate(over="ignore"):
@@ -725,16 +760,17 @@ def assert_matches_dense_twin(evaluate, solution, pts):
 
 @pytest.mark.parametrize("case", sorted(EXTENSION_CASES))
 def test_factored_iterated_solution_matches_its_dense_twin(case):
-    pb, n, r = EXTENSION_CASES[case]()
-    sol = solve_discrete_galerkin(pb, n, r)
-    assert_matches_dense_twin(iterated_eval, sol, extension_points(sol.grid))
+    make, n, r = EXTENSION_CASES[case]
+    sol = solve_discrete_galerkin(make(), n, r)
+    assert_matches_dense_twin(iterated_eval, sol, make(factored=False), extension_points(sol.grid))
 
 
 @pytest.mark.parametrize("case", sorted(EXTENSION_CASES))
 def test_factored_nystrom_extension_matches_its_dense_twin(case):
-    pb = EXTENSION_CASES[case]()[0]
-    sol = solve_nystrom(pb, build_grid(20, 5, gauss_rule(2)))
-    assert_matches_dense_twin(lambda sol, s: sol(s), sol, extension_points(sol.grid))
+    make = EXTENSION_CASES[case][0]
+    sol = solve_nystrom(make(), build_grid(20, 5, gauss_rule(2)))
+    dense_pb = make(factored=False)
+    assert_matches_dense_twin(lambda sol, s: sol(s), sol, dense_pb, extension_points(sol.grid))
 
 
 def test_factored_extension_does_not_depend_on_the_order_of_the_points():
@@ -746,15 +782,11 @@ def test_factored_extension_does_not_depend_on_the_order_of_the_points():
 
 def test_nonfinite_factor_values_of_an_extension_raise_the_kernel_error():
     # psi is NaN for u > 3, so the one node value 4 makes beta and delta NaN there
-    pb = sinh_problem(
-        np.sqrt(12.0),
-        psi=lambda t, u: np.where(u > 3.0, np.nan, u),
-        psi_du=lambda t, u: np.where(u > 3.0, np.nan, 1.0),
-    )
     grid = build_grid(10, 1, gauss_rule(2))
     values = np.ones(grid.node_count)
     values[7] = 4.0
-    for problem in (pb, dataclasses.replace(pb, factors=None)):
+    for factored in (True, False):
+        problem = nan_above_3(factored)
         sol = NystromSolution(problem, GridFunction(grid, values), (0.0,))
         for s in (0.5, np.linspace(0.0, 1.0, 11)):
             with pytest.raises(EvaluationError, match="non-finite"):
