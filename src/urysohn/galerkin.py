@@ -102,11 +102,11 @@ def _jacobian_at(problem, grid, wb, n, r, s_factors):
         def dense(zvals):
             m_full = np.empty((n, r, n, r))
 
-            def write(j, idx, pieces):  # dk/du on the rows of coarse subinterval j
+            def write(rows, pieces):  # dk/du on the rows of one coarse subinterval
                 inner = np.empty((r, grid.node_count))  # eta x global node b
                 for c0, c1, piece in pieces:
                     inner[:, c0:c1] = wb.T @ piece
-                m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, block), wb)
+                m_full[rows.start // block] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, -1), wb)
 
             _sweep(problem, grid, zvals, grid.nodes, 1, write, size=block)
             return _identity_minus(m_full, n * r)
@@ -154,15 +154,17 @@ def _identity_minus(m_full, size):
     return jac
 
 
-def _plan(n, r, p, rho):
+def _plan(n, r, p, rho, rank=1):
     """(n, r, p, rule) of a solve, checked, and p defaulted to n**r; DomainError,
-    with the byte count, if its planned bytes exceed physical memory."""
+    with the byte count, if its planned bytes, for factors of at most ``rank``
+    terms a side, exceed physical memory."""
     n = _count(n, "n")
     rule = gauss_rule(minimal_rho(r) if rho is None else rho)
     r = _check_order(r, rule.npoints)
     p = _count(n**r if p is None else p, "p")
     nodes = n * p * rule.npoints
-    _fits(8 * nodes * (12 + 4 * r) + 17 * (n * r) ** 2, f"a Galerkin solve on {nodes} nodes")
+    what = f"a Galerkin solve on {nodes} nodes" + (f" with rank-{rank} factors" if rank > 1 else "")
+    _fits(8 * nodes * (12 + 4 * r + (5 + 5 * r) * (rank - 1)) + 17 * (n * r) ** 2, what)
     return n, r, p, rule
 
 
@@ -202,10 +204,10 @@ def solve_discrete_galerkin(
     product and a 1-byte mask while it is built.  That is the tracemalloc
     peak of a solve with rank-1 declared factors, r = 1..4, to within 20 %.
     If it exceeds physical memory, DomainError, with the byte count, comes
-    before the grid is built.  Factors of rank q take about
-    8*N*(5 + 5*r)*(q - 1) bytes more, and a solve without factors holds one
-    128 x N float64 row block per worker of its kernel sweeps; the plan
-    counts neither.
+    before the grid is built.  Factors of rank q > 1 on either side add
+    8*N*(5 + 5*r)*(q - 1) bytes, checked once a(nodes) and c(nodes) show q,
+    before any t factor.  A solve without factors holds one 128 x N float64
+    row block per worker of its kernel sweeps; the plan does not count it.
     """
     n, r, p, rule = _plan(n, r, p, rho)
     grid = build_grid(n, p, rule)
@@ -218,6 +220,8 @@ def solve_discrete_galerkin(
 
     _newton_controls(tol, max_iter)  # before the first kernel or factor call
     s_factors = _factors(problem, 0, grid.nodes)
+    if s_factors is not None:  # their rank, planned before the first t factor
+        _plan(n, r, p, rho, max(part.shape[1] for part in s_factors))
     km = _km_at(problem, grid, grid.nodes, s_factors)
     jacobian = _jacobian_at(problem, grid, wb, n, r, s_factors)
 

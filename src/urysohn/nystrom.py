@@ -14,8 +14,9 @@ one reader of them: K_m at M points, for the natural extension and the
 Galerkin residual, takes O((N + M) * rank + M log N), of which the M-point
 half (the node counts j and the s factors) is built once per point set and
 the node half, the blocked prefix and suffix sums :func:`_prefix` and
-:func:`_suffix`, once per iterate; :func:`apply_km`, :func:`km_prime_apply`
-and the Newton solve always sum kernel entries.
+:func:`_suffix`, once per iterate.  :func:`apply_km`, :func:`km_prime_apply`
+and the Newton solve always sum kernel entries, formed from declared
+factors by ``kernel_eval``; the ``factors=None`` twin is their reference.
 
 Newton's method solves with the Jacobian I - K_m'(x) by GMRES: K_m'(x) is
 compact for a Green's-function-type kernel, so the GMRES iteration count
@@ -32,9 +33,9 @@ the fine solve's quadratic basin and the fine solve needs fewer of its
 O(N**2) kernel sweeps.
 
 Every O(N**2) kernel sweep is a :func:`_sweep`, which hands each row block
-of sorted points, in column pieces, to a reducer: K_m and K_m' at points and
-the node residual sum them, the Newton step stores them as its operator, the
-dense Galerkin matrix projects them.  :func:`_blocks` shares the blocks out
+of ascending points, in column pieces, to a reducer: K_m and K_m' at points
+and the node residual sum them, the Newton step stores them as its operator,
+the dense Galerkin matrix projects them.  :func:`_blocks` shares the blocks out
 over all usable CPUs: a thread writes only the rows of its own blocks, and a
 block is computed by the same calls whichever thread runs it, so a result
 has the same bits at any worker count.  Each parallel sweep makes its own
@@ -143,17 +144,16 @@ def _blocks(fn, count, entries):
 
 
 def _sweep(problem, grid, xvals, s, order, write, size=_CHUNK):
-    """write(block, idx, pieces) for each block of ``size`` points of s, in ascending order.
+    """write(rows, pieces) for each slice ``rows`` of ``size`` points of the ascending 1-d s.
 
-    idx indexes the 1-d s; pieces yields (c0, c1, kernel(s[idx, None],
-    nodes[c0:c1], xvals[c0:c1])) over all columns.  Nodes on or below every
-    point of the block, and those above every point, take one kernel branch
-    each; only the narrow band between needs both.  Each range is cut into
-    pieces of at most _PIECE entries, so that a branch's temporaries fit in
-    cache and are reused from the heap, not page-faulted afresh.  The blocks
-    run through :func:`_blocks`; write must store only what its block owns.
+    pieces yields (c0, c1, kernel(s[rows, None], nodes[c0:c1],
+    xvals[c0:c1])) over all columns.  Nodes on or below every point of the
+    block, and those above every point, take one kernel branch each; only
+    the narrow band between needs both.  Each range is cut into pieces of at
+    most _PIECE entries, so that a branch's temporaries fit in cache and are
+    reused from the heap, not page-faulted afresh.  The blocks run through
+    :func:`_blocks`; write must store only what its rows own.
     """
-    perm = np.argsort(s, kind="stable")
     nodes = grid.nodes
 
     def pieces(points):
@@ -168,8 +168,8 @@ def _sweep(problem, grid, xvals, s, order, write, size=_CHUNK):
 
     def share(blocks):
         for block in blocks:
-            idx = perm[block * size : (block + 1) * size]
-            write(block, idx, pieces(s[idx, None]))
+            rows = slice(block * size, min((block + 1) * size, s.size))
+            write(rows, pieces(s[rows, None]))
 
     _blocks(share, -(-s.size // size), s.size * nodes.size)
 
@@ -177,21 +177,22 @@ def _sweep(problem, grid, xvals, s, order, write, size=_CHUNK):
 def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None):
     """sum_b W_b [extra_b] * kernel(s_a, node_b, xvals_b) at points s of any shape.
 
-    The one path from points to K_m values, a :func:`_sweep`: no value
-    depends on the order of the points.
+    The one path from points to K_m values, a :func:`_sweep` over the points
+    in stable ascending order: no value depends on the order of the points.
     """
     s = np.asarray(s, dtype=float)
     w = grid.node_weights if weight_extra is None else grid.node_weights * weight_extra
+    perm = np.argsort(s, axis=None, kind="stable")
     out = np.empty(s.size)
 
-    def write(block, idx, pieces):
-        rows = np.empty((idx.size, grid.node_count))
+    def write(rows, pieces):
+        block = np.empty((rows.stop - rows.start, grid.node_count))
         for c0, c1, piece in pieces:
-            rows[:, c0:c1] = piece
+            block[:, c0:c1] = piece
         # a numpy reduction, not a BLAS GEMV: no thread split enters the bits
-        out[idx] = np.einsum("ij,j->i", rows, w)
+        out[perm[rows]] = np.einsum("ij,j->i", block, w)
 
-    _sweep(problem, grid, xvals, s.ravel(), order, write)
+    _sweep(problem, grid, xvals, s.ravel()[perm], order, write)
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
@@ -237,8 +238,8 @@ def _km_at(problem, grid, s, s_factors=None):
     a(s) and c(s), ``problems._factors(problem, 0, np.ravel(s))``.
     :func:`apply_km`, :func:`km_prime_apply` and the Nystrom residual sum,
     and the Newton step stores, the kernel entries of :func:`_sweep` even
-    with factors: they are the dense reference, and the benchmark pins their
-    kernel counts.
+    with factors, each then a product of the factors (``kernel_eval``), as
+    the benchmark pins their counts; the ``factors=None`` twin is the reference.
     """
     if problem.factors is None:
         return lambda xvals: _weighted_kernel_sum(problem, grid, xvals, s, order=0)
@@ -259,18 +260,14 @@ def _km_at(problem, grid, s, s_factors=None):
     return km
 
 
-def _km(problem, grid, xvals, s):
-    """K_m(x) at points s: :func:`_km_at` used once."""
-    return _km_at(problem, grid, s)(xvals)
-
-
 def apply_km(problem: UrysohnProblem, x: GridFunction, s):
     """Evaluate the discretised operator K_m(x) at points s in [0, 1].
 
     ``s`` may have any shape and any order: a scalar gives a float, an array
     an array of its shape, and no value depends on the order of the points.
     Sums the N kernel entries per point of :func:`_sweep` even with
-    declared factors: it is the dense reference of every factored path.
+    declared factors, each entry then a product of the factors
+    (``kernel_eval``); the ``factors=None`` twin evaluates the branches.
     """
     return _weighted_kernel_sum(problem, x.grid, x.values, _unit_points(s), order=0)
 
@@ -280,7 +277,8 @@ def km_prime_apply(problem: UrysohnProblem, base: GridFunction, v: GridFunction,
 
     K_m'(base)v(s) = sum_b W_b * dk/du(s, node_b, base_b) * v_b, with s taken
     as by :func:`apply_km`: any shape, any order, a float for a scalar.  Like
-    :func:`apply_km` it always sums kernel entries, as the dense reference.
+    :func:`apply_km` it always sums kernel entries, from the factors when
+    the problem declares them.
     """
     if base.grid is not v.grid and not np.array_equal(base.grid.nodes, v.grid.nodes):
         raise ValueError("base and direction must live on the same grid")
@@ -292,7 +290,7 @@ def km_prime_apply(problem: UrysohnProblem, base: GridFunction, v: GridFunction,
 def _extension(problem: UrysohnProblem, x: GridFunction, s):
     """Natural extension f(s) + K_m(x)(s) at points s in [0, 1]."""
     s = _unit_points(s)  # before f, which need not be defined outside [0, 1]
-    out = values_on(problem.f, s) + _km(problem, x.grid, x.values, s)
+    out = values_on(problem.f, s) + _km_at(problem, x.grid, s)(x.values)
     return float(out) if s.ndim == 0 else out
 
 
@@ -521,12 +519,10 @@ def solve_nystrom(
     a = np.empty((n_nodes, n_nodes), dtype=np.float32)  # K_m'(x), rewritten by every step
     w = grid.node_weights
 
-    def write(block, idx, pieces):
+    def write(rows, pieces):
         # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b), rounded once to float32
-        # and stored in place.  grid.nodes is strictly increasing, so _sweep's stable
-        # argsort is the identity and a block's rows are the contiguous run from idx[0].
-        # The kernel runs under the caller's errstate; only the float32 store raises.
-        rows = slice(idx[0], idx[0] + idx.size)
+        # and stored in place.  The kernel runs under the caller's errstate; only the
+        # float32 store raises.
         for c0, c1, piece in pieces:
             try:
                 with np.errstate(over="raise"):

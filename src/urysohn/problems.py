@@ -12,14 +12,14 @@ The built-in benchmark ``rpk-aks`` is the Hammerstein problem
 k(s,t,u) = G(s,t) * (gamma**2 * u - 2 * u**3) with G the Green's function
 of -w'' + gamma**2 w under Dirichlet conditions, gamma = sqrt(12), and f
 chosen so that the exact solution is phi(s) = 2/(2s + 1).  It declares
-G's factors, so its Galerkin solve costs O(N) per Newton step, and its
-branch callables are built from them: a block of dense kernel entries, as
-the Nystrom paths evaluate, costs one broadcast multiply.
+G's factors, so its Galerkin solve costs O(N) per Newton step, and each
+dense kernel entry, as the Nystrom paths evaluate, costs one product of
+the factors in :func:`kernel_eval`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,7 +66,9 @@ class UrysohnProblem:
     side, to 1e-12 of the largest finite branch value there; points where
     a branch is not finite are not compared.  Otherwise ValueError names
     the side and the order; factors not shaped as two triples of callables
-    raise ValueError too.
+    raise ValueError too.  Declared factors are the kernel of every solver
+    path, dense entries included (:func:`kernel_eval`); the branches serve
+    the check, :func:`residual_check` and the ``factors=None`` twin.
     """
 
     name: str
@@ -150,8 +152,18 @@ def _check_finite(problem: UrysohnProblem, *arrays) -> None:
         raise EvaluationError(f"kernel of {problem.name!r} returned non-finite values")
 
 
+def _product(s_factor, t_factor):
+    """The branch sum_q s_factor(s)[..., q] * t_factor(t, u)[..., q] of declared factors."""
+    return lambda s, t, u: np.einsum("...q,...q->...", s_factor(s), t_factor(t, u))
+
+
 def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0):
     """Evaluate the kernel (or its u-derivative) at (s, t, u), broadcasting.
+
+    With declared ``factors`` each branch is sum_q a(s)_q * beta(t, u)_q
+    (beta_du for dk/du; c and delta above the diagonal) and no branch
+    callable runs: the results follow the factors, which construction ties
+    to the branches only to 1e-12 of the largest value.
 
     Points on the diagonal t == s use the lower branch (t <= s); the two
     branches agree there for a valid problem, so the choice only matters
@@ -176,7 +188,9 @@ def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0):
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
-    if order == 0:
+    if problem.factors is not None:
+        lower, upper = (_product(side[0], side[1 + order]) for side in problem.factors)
+    elif order == 0:
         lower, upper = problem.kappa_lower, problem.kappa_upper
     else:
         lower, upper = problem.kappa_lower_du, problem.kappa_upper_du
@@ -284,12 +298,12 @@ def hammerstein_problem(
     ``g_factors`` (optional) is (L, R, P, Q) with G(s,t) = L(s) * R(t) for
     t <= s and P(s) * Q(t) for t > s, each a scalar function; it becomes
     the problem's ``factors`` (rank 1 on each side), checked against
-    ``g_lower`` and ``g_upper`` like any declared factors.  Once checked,
-    the factors also make the branches: kappa_lower = L(s) * (R(t) *
-    psi(t,u)) and kappa_upper = P(s) * (Q(t) * psi(t,u)), psi_du in the
-    derivatives, so that on a block of s by t points the row in t is formed
-    once and each entry costs one multiply; g_lower and g_upper are not
-    called after construction.
+    ``g_lower`` and ``g_upper`` like any declared factors.  The branch
+    callables are always G's own branches times psi (psi_du in the
+    derivatives); with factors, the solvers' dense entries come from
+    L(s) * (R(t) * psi(t,u)) and P(s) * (Q(t) * psi(t,u)) through
+    :func:`kernel_eval`, so the branches serve the construction check,
+    :func:`residual_check` and the ``factors=None`` twin.
     """
 
     def side(g_s, g_t):
@@ -303,7 +317,7 @@ def hammerstein_problem(
     if g_factors is not None:
         l_s, r_t, p_s, q_t = g_factors
         factors = (side(l_s, r_t), side(p_s, q_t))
-    problem = UrysohnProblem(
+    return UrysohnProblem(
         name=name,
         kappa_lower=lambda s, t, u: g_lower(s, t) * psi(t, u),
         kappa_upper=lambda s, t, u: g_upper(s, t) * psi(t, u),
@@ -313,21 +327,6 @@ def hammerstein_problem(
         exact=exact,
         description=description,
         factors=factors,
-    )
-    if g_factors is None:
-        return problem
-
-    def product(g_s, g_t, h):
-        # the row g_t(t) * h(t, u) first, on the t operands, then one broadcast multiply
-        return lambda s, t, u: g_s(s) * (g_t(t) * h(t, u))
-
-    # the factors passed the check against g_lower and g_upper above
-    return replace(
-        problem,
-        kappa_lower=product(l_s, r_t, psi),
-        kappa_upper=product(p_s, q_t, psi),
-        kappa_lower_du=product(l_s, r_t, psi_du),
-        kappa_upper_du=product(p_s, q_t, psi_du),
     )
 
 

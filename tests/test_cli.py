@@ -4,12 +4,18 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from urysohn import bbar, convergence_study, get_problem, problems, register_problem
 from urysohn.cli import format_report, run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -32,6 +38,26 @@ def test_unknown_problem_exit_code(capture):
     code, _, err = capture(["solve", "--problem", "nope", "--n", "10"])
     assert code == 3
     assert "nope" in err
+
+
+def test_module_entry_point_prints_and_exits_as_run_does(capture):
+    # main() through the module's __main__ call; the console script runs the same main()
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+
+    def child(argv):
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "urysohn.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    argv = ["converge", "--problem", "rpk-aks", "--r", "1", "--n", "10,20,40", "--format", "md"]
+    result = child(argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == capture(argv)[1]
+    assert child(["solve", "--problem", "nope", "--n", "4"]).returncode == 3
 
 
 def test_usage_error_exit_code(capture):

@@ -2,7 +2,6 @@
 
 import collections
 import dataclasses
-import functools
 import os
 import subprocess
 import sys
@@ -25,6 +24,8 @@ from urysohn import (
     get_problem,
     hammerstein_problem,
     iterated_eval,
+    kernel_eval,
+    km_prime_apply,
     minimal_rho,
     partition_point_errors,
     project,
@@ -34,7 +35,7 @@ from urysohn import (
 )
 from urysohn import nystrom
 from urysohn.galerkin import _jacobian_at
-from urysohn.nystrom import _SUM_BLOCK, NystromSolution, _km, _prefix, _suffix
+from urysohn.nystrom import _SUM_BLOCK, NystromSolution, _km_at, _prefix, _suffix
 from urysohn.problems import _factors, _sinh_greens_factors
 from urysohn.projection import basis_matrix
 
@@ -364,15 +365,7 @@ def test_iterated_solution_does_not_depend_on_the_order_of_the_points(crossing_p
     np.testing.assert_array_equal(iterated_eval(sol, pts), expected)
 
 
-# Each problem maker below takes factored=False for the dense twin: the same
-# kernel without factors, with branches that are not built from the factors
-# (hammerstein_problem builds them from g_factors), so a dense reference is
-# independent of the factored path.
-
-
-def sinh_problem(
-    gamma, psi=lambda t, u: t * u - u**3, psi_du=lambda t, u: t - 3.0 * u**2, factored=True
-):
+def sinh_problem(gamma, psi=lambda t, u: t * u - u**3, psi_du=lambda t, u: t - 3.0 * u**2):
     """G(s,t) * psi(t,u) with the sinh Green's function of gamma and its factors."""
     return hammerstein_problem(
         f"sinh-{gamma:g}",
@@ -380,26 +373,11 @@ def sinh_problem(
         psi,
         psi_du,
         f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        g_factors=_sinh_greens_factors(gamma) if factored else None,
+        g_factors=_sinh_greens_factors(gamma),
     )
 
 
-def rpk_aks(factored=True):
-    """rpk-aks; its dense twin has the branches G(s,t) * psi(t,u) of G's own branches."""
-    pb = get_problem("rpk-aks")
-    if factored:
-        return pb
-    gamma = np.sqrt(12.0)
-    twin = sinh_problem(
-        gamma,
-        psi=lambda t, u: gamma * gamma * u - 2.0 * u**3,
-        psi_du=lambda t, u: gamma * gamma - 6.0 * u * u,
-        factored=False,
-    )
-    return dataclasses.replace(twin, name=pb.name, f=pb.f, exact=pb.exact)
-
-
-def rank_two_problem(factored=True):
+def rank_two_problem():
     """k = G(s,t) * (u + s*u**2): a(s) = (L(s), s*L(s)) and beta(t,u) = (R(t)*u, R(t)*u**2)."""
     g_lower, g_upper = sinh_greens_branches(np.sqrt(12.0))
     l_s, r_t, p_s, q_t = _sinh_greens_factors(np.sqrt(12.0))
@@ -418,14 +396,12 @@ def rank_two_problem(factored=True):
         kappa_lower_du=lambda s, t, u: g_lower(s, t) * (1.0 + 2.0 * s * u),
         kappa_upper_du=lambda s, t, u: g_upper(s, t) * (1.0 + 2.0 * s * u),
         f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        factors=(side(l_s, r_t), side(p_s, q_t)) if factored else None,
+        factors=(side(l_s, r_t), side(p_s, q_t)),
     )
 
 
-def mixed_rank_problem(factored=True):
+def mixed_rank_problem():
     """rpk-aks with a rank-1 lower side and its upper side as two halves scaled by sqrt(0.5)."""
-    if not factored:
-        return dataclasses.replace(rpk_aks(factored=False), name="mixed-rank")
     pb = get_problem("rpk-aks")
     lower, upper = pb.factors
 
@@ -435,9 +411,51 @@ def mixed_rank_problem(factored=True):
     return dataclasses.replace(pb, name="mixed-rank", factors=(lower, tuple(map(halves, upper))))
 
 
-def _factored_against_dense(make, n, r):
+@pytest.mark.parametrize(
+    "make", [rank_two_problem, mixed_rank_problem], ids=["rank-two", "mixed-rank"]
+)
+def test_kernel_entries_of_declared_factors_match_the_branches_of_the_twin(make):
+    # kernel_eval forms the entries of a factored problem from its rank-q factors
+    pb = make()
+    dense = dataclasses.replace(pb, factors=None)
+    s, t = np.meshgrid(np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 101), indexing="ij")
+    for on_side in (t <= s, t > s):
+        s_side, t_side = s[on_side], t[on_side]
+        for u in (-1.5, 0.5, 2.0):
+            for order in (0, 1):
+                want = kernel_eval(dense, s_side, t_side, u, order)
+                got = kernel_eval(pb, s_side, t_side, u, order)
+                bound = 4 * np.finfo(float).eps * np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= bound
+
+
+def test_dense_paths_of_a_factored_problem_never_call_its_branches():
+    calls = []  # appended from the sweep's threads
+
+    def counted(branch):
+        def wrapper(*args):
+            calls.append(1)
+            return branch(*args)
+
+        return wrapper
+
+    pb = rank_two_problem()
+    names = ("kappa_lower", "kappa_upper", "kappa_lower_du", "kappa_upper_du")
+    pb = dataclasses.replace(pb, **{name: counted(getattr(pb, name)) for name in names})
+    assert calls  # construction checks the factors against the branches
+    calls.clear()
+    grid = build_grid(20, 1, gauss_rule(2))
+    sol = solve_nystrom(pb, grid)
+    v = GridFunction(grid, np.cos(grid.nodes))
+    pts = np.linspace(0.0, 1.0, 101)
+    apply_km(pb, sol.node_values, pts)
+    km_prime_apply(pb, sol.node_values, v, pts)
+    assert calls == []
+
+
+def _factored_against_dense(pb, n, r):
     """Solve with the factors and without; compare coefficients, z_S, Jacobians, iterations."""
-    pb, dense = make(), make(factored=False)
+    dense = dataclasses.replace(pb, factors=None)
     sol, ref = solve_discrete_galerkin(pb, n, r), solve_discrete_galerkin(dense, n, r)
     assert sol.newton_iterations == ref.newton_iterations
     np.testing.assert_allclose(sol.z_g.coeffs, ref.z_g.coeffs, rtol=0, atol=1e-14)
@@ -455,7 +473,7 @@ def _factored_against_dense(make, n, r):
 
 @pytest.mark.parametrize("n, r", [(10, 1), (20, 1), (40, 1), (3, 2), (6, 2), (12, 2)])
 def test_factored_solve_matches_the_dense_solve(n, r):
-    _factored_against_dense(rpk_aks, n, r)
+    _factored_against_dense(get_problem("rpk-aks"), n, r)
 
 
 # case -> (problem, n, r); in the mixed case the two sides' products have different inner sizes
@@ -471,7 +489,7 @@ TWINS = {
 @pytest.mark.parametrize("case", list(TWINS))
 def test_rank_two_factors_match_their_dense_twin(case):
     make, n, r = TWINS[case]
-    _factored_against_dense(make, n, r)
+    _factored_against_dense(make(), n, r)
 
 
 # case -> (problem, n, r) of a solve with p = 1
@@ -505,25 +523,25 @@ def test_factored_km_matches_the_dense_km_at_the_nodes(gamma):
     z = 1.0 + np.sin(5.0 * grid.nodes)
     # near the diagonal the dense path also evaluates each branch on the other
     # side, where the sinh product overflows for gamma = 700; np.where drops it
-    dense_pb = sinh_problem(gamma, factored=False)
-    dense = apply_km(dense_pb, GridFunction(grid, z), grid.nodes)
-    factored = _km(pb, grid, z, grid.nodes)
+    dense = apply_km(dataclasses.replace(pb, factors=None), GridFunction(grid, z), grid.nodes)
+    factored = _km_at(pb, grid, grid.nodes)(z)
     assert np.max(np.abs(factored - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
 def test_km_at_a_2d_array_of_unsorted_points_keeps_its_shape_and_bits():
-    pb, dense_pb = sinh_problem(700.0), sinh_problem(700.0, factored=False)
+    pb = sinh_problem(700.0)
+    dense_pb = dataclasses.replace(pb, factors=None)
     grid = build_grid(20, 20, gauss_rule(2))
     z = 1.0 + np.sin(5.0 * grid.nodes)
     rng = np.random.default_rng(13)
     pts = np.concatenate([rng.random(960), grid.nodes[::20]])  # 40 points on nodes
     rng.shuffle(pts)
     pts = pts.reshape(40, 25)
-    factored = _km(pb, grid, z, pts)
-    factored_flat = _km(pb, grid, z, pts.ravel())
+    factored = _km_at(pb, grid, pts)(z)
+    factored_flat = _km_at(pb, grid, pts.ravel())(z)
     with np.errstate(over="ignore"):  # each sinh branch overflows on the other side
-        dense = _km(dense_pb, grid, z, pts)
-        dense_flat = _km(dense_pb, grid, z, pts.ravel())
+        dense = _km_at(dense_pb, grid, pts)(z)
+        dense_flat = _km_at(dense_pb, grid, pts.ravel())(z)
     for out, flat in ((factored, factored_flat), (dense, dense_flat)):
         assert out.shape == pts.shape
         np.testing.assert_array_equal(out, flat.reshape(pts.shape))
@@ -533,9 +551,9 @@ def test_km_at_a_2d_array_of_unsorted_points_keeps_its_shape_and_bits():
 def test_dense_nystrom_solve_at_gamma_700_solves_the_factored_equation():
     pb = sinh_problem(700.0)
     grid = build_grid(20, 20, gauss_rule(2))
-    sol = solve_nystrom(sinh_problem(700.0, factored=False), grid)
+    sol = solve_nystrom(dataclasses.replace(pb, factors=None), grid)
     x = sol.node_values.values
-    assert np.max(np.abs(x - _km(pb, grid, x, grid.nodes) - 1.0)) <= 1e-12
+    assert np.max(np.abs(x - _km_at(pb, grid, grid.nodes)(x) - 1.0)) <= 1e-12
 
 
 def test_factored_galerkin_solve_and_z_s_evaluate_no_kernel_entry(monkeypatch):
@@ -623,6 +641,25 @@ def test_factored_solve_evaluates_the_s_factors_once_per_solve():
     assert iterations[0] < iterations[1]
 
 
+def test_the_size_plan_counts_the_rank_of_the_declared_factors(monkeypatch):
+    n, r = 6, 1
+    nodes = n * n**r * minimal_rho(r)
+    rank_one = 8 * nodes * (12 + 4 * r) + 17 * (n * r) ** 2
+    rank_two = rank_one + 8 * nodes * (5 + 5 * r)
+    physical = (rank_one + rank_two) // 2
+    real = os.sysconf
+    pages = {"SC_PHYS_PAGES": physical, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real(name))
+    calls = collections.Counter()
+    spy = counted_factors(rank_two_problem(), calls)
+    calls.clear()  # of the construction check
+    with pytest.raises(DomainError, match=f"with rank-2 factors needs {rank_two} bytes"):
+        solve_discrete_galerkin(spy, n, r)
+    # the rank shows in a(nodes) and c(nodes); no t factor runs before the check
+    assert calls == {"a": 1, "c": 1}
+    assert solve_discrete_galerkin(get_problem("rpk-aks"), n, r).newton_iterations > 0
+
+
 def test_a_nonfinite_s_factor_raises_the_kernel_error_naming_the_problem():
     # a(s) is NaN only on (0.6, 0.7), off the sample the factors are checked on
     gamma = np.sqrt(12.0)
@@ -668,17 +705,16 @@ def test_factored_km_on_many_nodes_keeps_its_rounding_small():
     below, above = np.concatenate([zero, below]), np.concatenate([above, zero])
     j = np.searchsorted(grid.nodes, s, side="right")
     reference = np.sum(a(s) * below[j] + c(s) * above[j], axis=-1)
-    got = _km(pb, grid, x, s)
+    got = _km_at(pb, grid, s)(x)
     assert np.max(np.abs(got - reference)) <= 2e-15 * np.max(np.abs(reference))
 
 
-def nan_above_3(factored):
+def nan_above_3():
     """The sqrt(12) sinh problem with psi and psi_du NaN for u > 3."""
     return sinh_problem(
         np.sqrt(12.0),
         psi=lambda t, u: np.where(u > 3.0, np.nan, u),
         psi_du=lambda t, u: np.where(u > 3.0, np.nan, 1.0),
-        factored=factored,
     )
 
 
@@ -686,20 +722,18 @@ def nan_above_3(factored):
 def test_nonfinite_factor_values_raise_the_kernel_error(case):
     with np.errstate(over="ignore", invalid="ignore"):  # sinh(720) overflows
         if case == "gamma-720":
-            problems = [sinh_problem(720.0, factored=factored) for factored in (True, False)]
+            pb = sinh_problem(720.0)
         else:  # psi is NaN only for u > 3, off the sample the factors are checked on
             five = lambda s: np.full_like(np.asarray(s, dtype=float), 5.0)
-            problems = [
-                dataclasses.replace(nan_above_3(factored), f=five) for factored in (True, False)
-            ]
-        for problem in problems:
+            pb = dataclasses.replace(nan_above_3(), f=five)
+        for problem in (pb, dataclasses.replace(pb, factors=None)):
             with pytest.raises(EvaluationError, match="non-finite"):
                 solve_discrete_galerkin(problem, 4, 1)
 
 
 # The natural extension f + K_m(x) of a problem with factors comes from their
-# prefix and suffix sums; its dense twin (factored=False) sums kernel entries.
-def jump_problem(factored=True):
+# prefix and suffix sums; its dense twin (factors=None) sums kernel entries.
+def jump_problem():
     """k = u/4 for t <= s and u/2 for t > s: at a node, the value shows which branch it took."""
     const = lambda c: lambda *args: np.full(np.broadcast(*args).shape, c)
     return hammerstein_problem(
@@ -709,19 +743,18 @@ def jump_problem(factored=True):
         lambda t, u: u,
         const(1.0),
         f=const(1.0),
-        g_factors=(const(0.25), const(1.0), const(0.5), const(1.0)) if factored else None,
+        g_factors=(const(0.25), const(1.0), const(0.5), const(1.0)),
     )
 
 
-# case -> (problem maker, n, r)
 EXTENSION_CASES = {
-    "jump": (jump_problem, 10, 1),
-    "rpk-aks-r1": (rpk_aks, 10, 1),
-    "rpk-aks-r2": (rpk_aks, 3, 2),
-    "rank-two": (rank_two_problem, 6, 1),
-    "sinh-40": (functools.partial(sinh_problem, 40.0), 10, 1),
-    "sinh-200": (functools.partial(sinh_problem, 200.0), 10, 1),
-    "sinh-700": (functools.partial(sinh_problem, 700.0), 10, 1),
+    "jump": lambda: (jump_problem(), 10, 1),
+    "rpk-aks-r1": lambda: (get_problem("rpk-aks"), 10, 1),
+    "rpk-aks-r2": lambda: (get_problem("rpk-aks"), 3, 2),
+    "rank-two": lambda: (rank_two_problem(), 6, 1),
+    "sinh-40": lambda: (sinh_problem(40.0), 10, 1),
+    "sinh-200": lambda: (sinh_problem(200.0), 10, 1),
+    "sinh-700": lambda: (sinh_problem(700.0), 10, 1),
 }
 
 
@@ -741,9 +774,9 @@ def extension_points(grid):
     )
 
 
-def assert_matches_dense_twin(evaluate, solution, dense_pb, pts):
-    """evaluate(solution, s) with the factors against the same node values on the dense twin."""
-    twin = dataclasses.replace(solution, problem=dense_pb)
+def assert_matches_dense_twin(evaluate, solution, pts):
+    """evaluate(solution, s) with the factors against the same node values without them."""
+    twin = dataclasses.replace(solution, problem=dataclasses.replace(solution.problem, factors=None))
     # near the diagonal the dense path also evaluates each branch on the other
     # side, where the sinh product overflows for gamma = 700; np.where drops it
     with np.errstate(over="ignore"):
@@ -760,17 +793,16 @@ def assert_matches_dense_twin(evaluate, solution, dense_pb, pts):
 
 @pytest.mark.parametrize("case", sorted(EXTENSION_CASES))
 def test_factored_iterated_solution_matches_its_dense_twin(case):
-    make, n, r = EXTENSION_CASES[case]
-    sol = solve_discrete_galerkin(make(), n, r)
-    assert_matches_dense_twin(iterated_eval, sol, make(factored=False), extension_points(sol.grid))
+    pb, n, r = EXTENSION_CASES[case]()
+    sol = solve_discrete_galerkin(pb, n, r)
+    assert_matches_dense_twin(iterated_eval, sol, extension_points(sol.grid))
 
 
 @pytest.mark.parametrize("case", sorted(EXTENSION_CASES))
 def test_factored_nystrom_extension_matches_its_dense_twin(case):
-    make = EXTENSION_CASES[case][0]
-    sol = solve_nystrom(make(), build_grid(20, 5, gauss_rule(2)))
-    dense_pb = make(factored=False)
-    assert_matches_dense_twin(lambda sol, s: sol(s), sol, dense_pb, extension_points(sol.grid))
+    pb = EXTENSION_CASES[case]()[0]
+    sol = solve_nystrom(pb, build_grid(20, 5, gauss_rule(2)))
+    assert_matches_dense_twin(lambda sol, s: sol(s), sol, extension_points(sol.grid))
 
 
 def test_factored_extension_does_not_depend_on_the_order_of_the_points():
@@ -782,11 +814,11 @@ def test_factored_extension_does_not_depend_on_the_order_of_the_points():
 
 def test_nonfinite_factor_values_of_an_extension_raise_the_kernel_error():
     # psi is NaN for u > 3, so the one node value 4 makes beta and delta NaN there
+    pb = nan_above_3()
     grid = build_grid(10, 1, gauss_rule(2))
     values = np.ones(grid.node_count)
     values[7] = 4.0
-    for factored in (True, False):
-        problem = nan_above_3(factored)
+    for problem in (pb, dataclasses.replace(pb, factors=None)):
         sol = NystromSolution(problem, GridFunction(grid, values), (0.0,))
         for s in (0.5, np.linspace(0.0, 1.0, 11)):
             with pytest.raises(EvaluationError, match="non-finite"):

@@ -299,19 +299,15 @@ def test_factor_built_branches_match_greens_branches_times_psi(gamma):
         lambda s: np.ones_like(np.asarray(s, dtype=float)),
         g_factors=_sinh_greens_factors(gamma),
     )
-    # each branch on its own side of a 101 x 101 grid only: off it, G's
-    # branches overflow at gamma = 700
+    # the kernel entries, which kernel_eval builds from the factors, on each
+    # side of a 101 x 101 grid only: off it, G's branches overflow at gamma = 700
     s, t = np.meshgrid(np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 101), indexing="ij")
-    sides = (
-        (t <= s, lower, pb.kappa_lower, pb.kappa_lower_du),
-        (t >= s, upper, pb.kappa_upper, pb.kappa_upper_du),
-    )
-    for on_side, g, branch, branch_du in sides:
+    for on_side, g in ((t <= s, lower), (t >= s, upper)):
         s_side, t_side = s[on_side], t[on_side]
         for u in (-1.5, 0.5, 2.0):
-            for built, h in ((branch, _psi), (branch_du, _psi_du)):
+            for order, h in enumerate((_psi, _psi_du)):
                 want = g(s_side, t_side) * h(t_side, u)
-                got = built(s_side, t_side, u)
+                got = kernel_eval(pb, s_side, t_side, u, order)
                 assert np.all(np.isfinite(got))
                 bound = 4 * np.finfo(float).eps * np.max(np.abs(want))
                 assert np.max(np.abs(got - want)) <= bound
