@@ -162,9 +162,11 @@ def _plan(n, r, p, rho, rank=1):
     rule = gauss_rule(minimal_rho(r) if rho is None else rho)
     r = _check_order(r, rule.npoints)
     p = _count(n**r if p is None else p, "p")
-    nodes = n * p * rule.npoints
+    block = p * rule.npoints
+    nodes = n * block
     what = f"a Galerkin solve on {nodes} nodes" + (f" with rank-{rank} factors" if rank > 1 else "")
-    _fits(8 * nodes * (12 + 4 * r + (5 + 5 * r) * (rank - 1)) + 17 * (n * r) ** 2, what)
+    node_bytes = 8 * nodes * (11 + 5 * r + (5 + 5 * r) * (rank - 1)) + 16 * block * (r + 1)
+    _fits(node_bytes + 17 * (n * r) ** 2, what)
     return n, r, p, rule
 
 
@@ -199,15 +201,18 @@ def solve_discrete_galerkin(
         cap (a positive integer).  A ``tol`` below the rounding floor
         eps*max|c| of the iterate raises SingularOperatorError.
 
-    A solve on N = n*p*rho nodes plans 8*N*(12 + 4*r) + 17*(n*r)**2 bytes:
-    its node arrays, and the float64 Newton matrix with one more (n*r)**2
-    product and a 1-byte mask while it is built.  That is the tracemalloc
-    peak of a solve with rank-1 declared factors, r = 1..4, to within 20 %.
-    If it exceeds physical memory, DomainError, with the byte count, comes
-    before the grid is built.  Factors of rank q > 1 on either side add
-    8*N*(5 + 5*r)*(q - 1) bytes, checked once a(nodes) and c(nodes) show q,
-    before any t factor.  A solve without factors holds one 128 x N float64
-    row block per worker of its kernel sweeps; the plan does not count it.
+    A solve on N = n*p*rho nodes plans 8*N*(11 + 5*r) + 16*p*rho*(r + 1)
+    + 17*(n*r)**2 bytes: its node arrays, the tables of one coarse
+    subinterval (offsets and basis, plain and weighted), and the float64
+    Newton matrix with one more (n*r)**2 product and a 1-byte mask while it
+    is built.  That bounds the tracemalloc peak of a solve with rank-1
+    declared factors, r = 1..4, measured at 1.03 to 1.45 times it for
+    n = 1..64 and N = 3000..80000.  If it exceeds physical memory,
+    DomainError, with the byte count, comes before the grid is built.
+    Factors of rank q > 1 on either side add 8*N*(5 + 5*r)*(q - 1) bytes,
+    checked once a(nodes) and c(nodes) show q, before any t factor.  A
+    solve without factors also holds the 128 x N float64 row block of its
+    K_m sweep; the plan does not count it.
     """
     n, r, p, rule = _plan(n, r, p, rho)
     grid = build_grid(n, p, rule)

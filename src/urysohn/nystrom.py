@@ -35,20 +35,16 @@ O(N**2) kernel sweeps.
 Every O(N**2) kernel sweep is a :func:`_sweep`, which hands each row block
 of ascending points, in column pieces, to a reducer: K_m and K_m' at points
 and the node residual sum them, the Newton step stores them as its operator,
-the dense Galerkin matrix projects them.  :func:`_blocks` shares the blocks out
-over all usable CPUs: a thread writes only the rows of its own blocks, and a
-block is computed by the same calls whichever thread runs it, so a result
-has the same bits at any worker count.  Each parallel sweep makes its own
-thread pool and joins it before it returns, so no thread outlives a sweep
-and a fork needs no handling; a sweep started inside a share runs serially.
+the dense Galerkin matrix projects them.  The blocks run one after another
+in the calling thread: once a dense entry is one product of declared
+factors, threads sharing the blocks run them no faster than one thread,
+and each thread adds its own temporaries to the peak memory.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +70,6 @@ _GMRES_RTOL = 1e-13  # GMRES stops at least-squares residual <= this * ||b||_2
 _COARSE_PANELS = 64  # panels of the grid whose solution starts a finer solve
 _TWO_GRID_FLOOR = 256  # grids of more panels than this start from _COARSE_PANELS
 
-_in_share = contextvars.ContextVar("_in_share", default=False)  # True inside a sweep's share
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
@@ -94,55 +88,6 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
 
-def _workers():
-    """Usable CPUs: the process's affinity set, where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _share(fn, blocks):
-    _in_share.set(True)  # in this share's own context copy: a sweep it starts runs serially
-    fn(blocks)
-
-
-def _blocks(fn, count, entries):
-    """Run fn(share) over contiguous shares of the independent blocks range(count).
-
-    ``entries`` counts the kernel entries of all count blocks.  With w
-    usable CPUs the blocks are cut into min(w, count // 2) shares, so that a
-    share has at least two blocks, if a block has at least _PIECE entries on
-    average: in smaller blocks the Python work, which holds the GIL,
-    outweighs the numpy work that a second thread can overlap.  With fewer
-    than two shares, or inside a share of another sweep, fn(range(count))
-    runs in the calling thread.  Otherwise the calling thread runs the first
-    share and the shares - 1 threads of a pool made for this sweep run the
-    others, each share in a copy of the caller's context, so that
-    ``np.errstate`` holds there too.
-
-    Returns once every share has finished and the pool's threads have
-    ended, so no call of fn outlives the sweep; then raises the exception
-    of the first share, in block order, that raised.  fn must write only
-    what its own blocks own.
-    """
-    shares = min(_workers(), count // 2) if entries >= count * _PIECE else 1
-    if shares < 2 or _in_share.get():
-        fn(range(count))
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    cuts = [count * i // shares for i in range(shares + 1)]
-    with ThreadPoolExecutor(shares - 1) as pool:
-        rest = [
-            pool.submit(contextvars.copy_context().run, _share, fn, range(a, b))
-            for a, b in zip(cuts[1:-1], cuts[2:])
-        ]
-        contextvars.copy_context().run(_share, fn, range(cuts[1]))
-    for future in rest:
-        future.result()
-
-
 def _sweep(problem, grid, xvals, s, order, write, size=_CHUNK):
     """write(rows, pieces) for each slice ``rows`` of ``size`` points of the ascending 1-d s.
 
@@ -151,8 +96,8 @@ def _sweep(problem, grid, xvals, s, order, write, size=_CHUNK):
     block, and those above every point, take one kernel branch each; only
     the narrow band between needs both.  Each range is cut into pieces of at
     most _PIECE entries, so that a branch's temporaries fit in cache and are
-    reused from the heap, not page-faulted afresh.  The blocks run through
-    :func:`_blocks`; write must store only what its rows own.
+    reused from the heap, not page-faulted afresh.  The blocks run in order,
+    in the calling thread.
     """
     nodes = grid.nodes
 
@@ -166,12 +111,9 @@ def _sweep(problem, grid, xvals, s, order, write, size=_CHUNK):
                     problem, points, nodes[None, c0:c1], xvals[None, c0:c1], order
                 )
 
-    def share(blocks):
-        for block in blocks:
-            rows = slice(block * size, min((block + 1) * size, s.size))
-            write(rows, pieces(s[rows, None]))
-
-    _blocks(share, -(-s.size // size), s.size * nodes.size)
+    for start in range(0, s.size, size):
+        rows = slice(start, min(start + size, s.size))
+        write(rows, pieces(s[rows, None]))
 
 
 def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None):
@@ -526,7 +468,7 @@ def solve_nystrom(
         for c0, c1, piece in pieces:
             try:
                 with np.errstate(over="raise"):
-                    np.multiply(piece, w[c0:c1], out=a[rows, c0:c1], casting="same_kind")
+                    a[rows, c0:c1] = piece * w[c0:c1]
             except FloatingPointError:
                 raise EvaluationError(
                     f"W*dk/du of {problem.name!r} overflows the float32 Newton operator"

@@ -46,9 +46,8 @@ class UrysohnProblem:
     ``kappa_lower(s, t, u)`` is the branch for t <= s and ``kappa_upper``
     the branch for t >= s; both must be smooth on the whole unit square
     and agree on the diagonal.  ``*_du`` are the partial derivatives with
-    respect to u.  All callables must broadcast over numpy arrays.  The
-    kernel sweeps run their row blocks on several threads at once, so the
-    branch callables may run concurrently and must not mutate shared state.
+    respect to u.  All callables must broadcast over numpy arrays.  A
+    solver calls them one at a time, in the thread that called the solver.
 
     ``exact`` is the known solution (or None); ``description`` is a short
     human-readable summary for the registry listing.

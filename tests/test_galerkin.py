@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -516,6 +517,28 @@ def test_a_factored_newton_step_holds_one_newton_matrix(case):
     assert (peak - 8 * nodes * (12 + 4 * r)) / (n * r) ** 2 < 20
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_the_size_plan_bounds_the_peak_of_a_factored_solve(r, monkeypatch):
+    # n = 6 and N ~ 24,000: the basis tables of one coarse subinterval weigh
+    # about r/3 node arrays, and the node arrays outweigh the (n*r)**2 matrix
+    n, rho = 6, minimal_rho(r)
+    p = 4000 // rho
+    pb = get_problem("rpk-aks")
+    tracemalloc.start()
+    try:
+        solve_discrete_galerkin(pb, n, r, p=p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    real = os.sysconf  # one byte of physical memory: the plan is refused with its byte count
+    one_byte = ("SC_PHYS_PAGES", "SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name in one_byte else real(name))
+    with pytest.raises(DomainError) as refused:
+        solve_discrete_galerkin(pb, n, r, p=p)
+    planned = int(re.search(r" needs (\d+) bytes", str(refused.value)).group(1))
+    assert peak <= planned
+
+
 @pytest.mark.parametrize("gamma", [np.sqrt(12.0), 40.0, 200.0, 700.0])
 def test_factored_km_matches_the_dense_km_at_the_nodes(gamma):
     pb = sinh_problem(gamma)
@@ -643,8 +666,9 @@ def test_factored_solve_evaluates_the_s_factors_once_per_solve():
 
 def test_the_size_plan_counts_the_rank_of_the_declared_factors(monkeypatch):
     n, r = 6, 1
-    nodes = n * n**r * minimal_rho(r)
-    rank_one = 8 * nodes * (12 + 4 * r) + 17 * (n * r) ** 2
+    block = n**r * minimal_rho(r)
+    nodes = n * block
+    rank_one = 8 * nodes * (11 + 5 * r) + 16 * block * (r + 1) + 17 * (n * r) ** 2
     rank_two = rank_one + 8 * nodes * (5 + 5 * r)
     physical = (rank_one + rank_two) // 2
     real = os.sysconf

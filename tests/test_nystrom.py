@@ -572,15 +572,16 @@ def test_two_grid_solve_evaluates_the_closed_form_kernel_count(monkeypatch):
     assert sizes == {0: [], 1: []}
 
 
-# Row blocks in parallel: the sweeps share their blocks out over all usable
-# CPUs, and nothing but the wall time may depend on how many there are.
+# Threads: the sweeps run their row blocks in the calling thread, only
+# OpenBLAS may run more, and nothing but the wall time may depend on the
+# number of usable CPUs or BLAS threads.
 
 def usable_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 needs_two_cpus = pytest.mark.skipif(
-    usable_cpus() < 2, reason="the row blocks run in parallel only with 2 or more usable CPUs"
+    usable_cpus() < 2, reason="OpenBLAS splits a GEMV only when two CPUs are usable"
 )
 
 
@@ -677,7 +678,7 @@ pts = np.linspace(0.0, 1.0, 2000)
 def sine(s, t, u):
     return np.sin(np.broadcast_to(u, np.broadcast(s, t, u).shape) + s - t)
 
-def outer(s, t, u):  # a kernel that runs a sweep of its own, also on a worker
+def outer(s, t, u):  # a kernel that runs a sweep of its own
     seen = set()
 
     def recorded(s, t, u):
@@ -686,7 +687,7 @@ def outer(s, t, u):  # a kernel that runs a sweep of its own, also on a worker
 
     inner = UrysohnProblem("inner", recorded, recorded, recorded, recorded, f=np.cos)
     value = float(np.mean(apply_km(inner, ones, pts)))
-    assert seen == {threading.get_ident()}, "the inner sweep left its share's thread"
+    assert seen == {threading.get_ident()}, "the inner sweep left the calling thread"
     return sine(s, t, u) * value
 
 km = apply_km(UrysohnProblem("outer", outer, outer, outer, outer, f=np.cos), ones, pts)
@@ -694,14 +695,25 @@ assert np.all(np.isfinite(km))
 """
 
 
-@needs_two_cpus
 def test_a_kernel_that_runs_a_sweep_itself_does_not_deadlock_the_pool():
     run_child(_NESTED_SCRIPT, timeout=60)
 
 
+_NO_THREADS_SCRIPT = """
+import sys, threading
+import numpy as np
+from urysohn import GridFunction, apply_km, build_grid, gauss_rule, get_problem, solve_nystrom
+assert 'concurrent.futures' not in sys.modules
+sol = solve_nystrom(get_problem("rpk-aks"), build_grid(300, 1, gauss_rule(2)))
+apply_km(get_problem("rpk-aks"), sol.node_values, np.linspace(0.0, 1.0, 2000))
+assert 'concurrent.futures' not in sys.modules
+assert threading.active_count() == 1
+"""
+
+
 def test_importing_the_package_leaves_the_thread_pool_module_unloaded():
-    # the first parallel sweep imports it, so a run without one never pays for it
-    run_child("import sys, urysohn; assert 'concurrent.futures' not in sys.modules", timeout=60)
+    # neither the import nor a wide sweep (2000 points on 600 nodes) loads it or starts a thread
+    run_child(_NO_THREADS_SCRIPT, timeout=60)
 
 
 def _solve_400_panels():
@@ -715,7 +727,7 @@ def test_a_forked_child_solves_after_a_parallel_sweep():
     grid = builtin_grid(400)
     apply_km(get_problem("rpk-aks"), GridFunction(grid, np.ones(grid.node_count)), grid.nodes)
     child = multiprocessing.get_context("fork").Process(target=_solve_400_panels)
-    with warnings.catch_warnings():  # forking a process with threads is what is tested
+    with warnings.catch_warnings():  # OpenBLAS may run threads; forking is what is tested
         warnings.simplefilter("ignore", DeprecationWarning)
         child.start()
     child.join(60)
@@ -729,8 +741,8 @@ def test_a_forked_child_solves_after_a_parallel_sweep():
 
 @pytest.mark.parametrize("bad", [lambda s: s > 0.9, lambda s: s < 0.1], ids=["last", "first"])
 def test_a_kernel_failure_in_a_parallel_sweep_raises_the_kernel_error(bad):
-    # NaN only in the last share (a worker's) or only in the first (the
-    # calling thread's); either way no kernel call is left running.
+    # NaN only in the last row blocks or only in the first; either way no
+    # kernel call is left running.
     lock = threading.Lock()
     running = [0]
 
@@ -756,16 +768,10 @@ def test_a_kernel_failure_in_a_parallel_sweep_raises_the_kernel_error(bad):
     assert sol.final_residual_norm <= 1e-12
 
 
-def test_newton_operator_overflow_in_a_worker_share_is_an_evaluation_error(monkeypatch):
-    # 600 nodes: 5 row blocks in 2 shares, the calling thread's rows below
-    # 256 and a worker's from 256 on.  W_b * dk/du ~ 1e42 / 600 is beyond the
-    # float32 range only on rows s > 0.6, all the worker's.
-    threads, hot = set(), set()
-
+def test_newton_operator_overflow_in_a_worker_share_is_an_evaluation_error():
+    # 600 nodes in 5 row blocks.  W_b * dk/du ~ 1e42 / 600 is beyond the
+    # float32 range only on rows s > 0.6, from the third block on.
     def du(s, t, u):
-        threads.add(threading.get_ident())
-        if np.any(s > 0.6):
-            hot.add(threading.get_ident())
         shape = np.broadcast(s, t, u).shape
         return np.where(s > 0.6, 1e42, np.cos(np.broadcast_to(u, shape) + s - t))
 
@@ -773,13 +779,8 @@ def test_newton_operator_overflow_in_a_worker_share_is_an_evaluation_error(monke
         return np.sin(np.broadcast_to(u, np.broadcast(s, t, u).shape) + s - t)
 
     pb = sine_problem(sine, du)
-    monkeypatch.setattr(nystrom, "_workers", lambda: 2)
     with pytest.raises(EvaluationError, match="float32 Newton operator"):
         solve_nystrom(pb, builtin_grid(300), initial=pb.f)
-    caller = threading.get_ident()
-    assert len(threads) == 2 and hot == threads - {caller}
-    alive = {thread.ident for thread in threading.enumerate()}
-    assert threads & alive == {caller}  # no worker outlives the failed sweep
 
 
 def test_parallel_sweeps_keep_the_callers_errstate():
@@ -812,37 +813,6 @@ def test_small_sweeps_call_the_kernel_only_from_the_calling_thread():
     threads.clear()
     assert iterated_eval(sol, sol.grid.partition_points).shape == (41,)
     assert threads == {threading.get_ident()}
-    if usable_cpus() >= 2:  # a wide enough sweep runs on the workers too
-        grid = builtin_grid(300)
-        apply_km(pb, GridFunction(grid, np.ones(grid.node_count)), np.linspace(0.0, 1.0, 2000))
-        assert len(threads) >= 2
-        alive = {thread.ident for thread in threading.enumerate()}
-        assert threads & alive == {threading.get_ident()}  # no worker outlives the sweep
-
-
-def test_more_shares_than_cores_under_a_short_switch_interval_give_the_serial_bits(
-    crossing_problem, monkeypatch
-):
-    pb = crossing_problem
-    grid = builtin_grid(300)
-    rng = np.random.default_rng(2)
-    x = GridFunction(grid, 1.0 + 0.5 * np.cos(7.0 * grid.nodes))
-    pts = rng.random(3000)
-
-    def run():
-        km = apply_km(pb, x, pts)
-        sol = solve_nystrom(pb, grid, initial=pb.f)
-        dense = solve_discrete_galerkin(pb, 30, 1)
-        return km, sol.node_values.values, np.array(sol.residual_norms), dense.z_g.coeffs
-
-    monkeypatch.setattr(nystrom, "_workers", lambda: 1)
-    serial = run()
-    monkeypatch.setattr(nystrom, "_workers", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        shared = run()
-    finally:
-        sys.setswitchinterval(interval)
-    for a, b in zip(serial, shared):
-        assert np.array_equal(a, b)
+    grid = builtin_grid(300)  # 2000 points in 16 row blocks over 600 nodes
+    apply_km(pb, GridFunction(grid, np.ones(grid.node_count)), np.linspace(0.0, 1.0, 2000))
+    assert threads == {threading.get_ident()}

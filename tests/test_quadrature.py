@@ -290,8 +290,27 @@ def test_every_bounded_integer_is_checked_by_the_one_integer_check(entry, bad):
 
 PHYSICAL = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 NODES = math.isqrt(PHYSICAL // 4) + 1  # 4*N**2 bytes of Nystrom operator
-COEFFS = math.isqrt(PHYSICAL // 17) + 1  # r = 1, p = 1: N = 2*n, n*r = n
-LADDER = math.isqrt(PHYSICAL // 1092) + 1  # r = 1, p = n: N = 2*n**2 at n = 2*LADDER
+
+
+def galerkin_bytes(n, r, p, rho):
+    """The planned bytes of a Galerkin solve with rank-1 factors."""
+    return 8 * n * p * rho * (11 + 5 * r) + 16 * p * rho * (r + 1) + 17 * (n * r) ** 2
+
+
+def smallest_past_physical(nbytes):
+    """The smallest k >= 1 with nbytes(k) > PHYSICAL, for nbytes increasing in k."""
+    lo, hi = 0, 1
+    while nbytes(hi) <= PHYSICAL:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # nbytes(lo) <= PHYSICAL < nbytes(hi), or lo == 0
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if nbytes(mid) <= PHYSICAL else (lo, mid)
+    return hi
+
+
+COEFFS = smallest_past_physical(lambda n: galerkin_bytes(n, 1, 1, 2))  # r = 1, p = 1
+# r = 1, p = n: the top level n = 2*LADDER of a two-level ladder
+LADDER = smallest_past_physical(lambda k: galerkin_bytes(2 * k, 1, 2 * k, 2))
 # oversize solve -> (call on a problem, its planned bytes); every size is the
 # smallest of its kind past physical memory
 OVERSIZE = {
@@ -301,12 +320,12 @@ OVERSIZE = {
     ),
     "solve_discrete_galerkin": (
         lambda pb: solve_discrete_galerkin(pb, COEFFS, 1, p=1),
-        8 * 2 * COEFFS * 16 + 17 * COEFFS**2,
+        galerkin_bytes(COEFFS, 1, 1, 2),
     ),
     # only the top level is oversize: it is checked before the first is solved
     "convergence_study": (
         lambda pb: convergence_study(pb, 1, [LADDER, 2 * LADDER]),
-        8 * 2 * (2 * LADDER) ** 2 * 16 + 17 * (2 * LADDER) ** 2,
+        galerkin_bytes(2 * LADDER, 1, 2 * LADDER, 2),
     ),
 }
 
