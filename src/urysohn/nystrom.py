@@ -33,12 +33,18 @@ the fine solve's quadratic basin and the fine solve needs fewer of its
 O(N**2) kernel sweeps.
 
 Every O(N**2) kernel sweep is a :func:`_sweep`, which hands each row block
-of ascending points, in column pieces, to a reducer: K_m and K_m' at points
-and the node residual sum them, the Newton step stores them as its operator,
-the dense Galerkin matrix projects them.  The blocks run one after another
-in the calling thread: once a dense entry is one product of declared
-factors, threads sharing the blocks run them no faster than one thread,
-and each thread adds its own temporaries to the peak memory.
+of ascending points to a reducer.  For K_m and K_m' at points, the node
+residual and the Newton operator, ``kernel_eval`` forms each entry once, in
+place, in one float64 row-block workspace (one per solve, shared by its
+residual and Newton sweeps, or one per :func:`apply_km` call): from
+declared factors a whole range of columns below, across and above the
+diagonal per call, from branch callables in pieces of _PIECE entries.  The
+residual sums the block's rows; the Newton step scales it by W in place and
+rounds it once into its float32 operator.  The dense Galerkin matrix
+projects fresh column pieces instead.  The blocks run one after another in
+the calling thread: once a dense entry is one product of declared factors,
+threads sharing the blocks run them no faster than one thread, and each
+thread adds its own temporaries to the peak memory.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ from .quadrature import (
 __all__ = ["GridFunction", "apply_km", "km_prime_apply", "solve_nystrom", "NystromSolution"]
 
 _CHUNK = 128  # points per row block of K_m and of the Nystrom Jacobian
-_PIECE = 1 << 16  # kernel entries per kernel_eval call
+_PIECE = 1 << 16  # kernel entries per kernel_eval call on branch callables
 _SUM_BLOCK = 8192  # entries per sequential run of a factored prefix sum
 _GMRES_RTOL = 1e-13  # GMRES stops at least-squares residual <= this * ||b||_2
 _COARSE_PANELS = 64  # panels of the grid whose solution starts a finer solve
@@ -88,53 +94,69 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
 
-def _sweep(problem, grid, xvals, s, order, write, size=_CHUNK):
-    """write(rows, pieces) for each slice ``rows`` of ``size`` points of the ascending 1-d s.
+def _sweep(problem, grid, xvals, s, order, write, size=_CHUNK, workspace=None):
+    """write(rows, entries) for each slice ``rows`` of ``size`` points of the ascending 1-d s.
 
-    pieces yields (c0, c1, kernel(s[rows, None], nodes[c0:c1],
-    xvals[c0:c1])) over all columns.  Nodes on or below every point of the
-    block, and those above every point, take one kernel branch each; only
-    the narrow band between needs both.  Each range is cut into pieces of at
-    most _PIECE entries, so that a branch's temporaries fit in cache and are
-    reused from the heap, not page-faulted afresh.  The blocks run in order,
-    in the calling thread.
+    The entries are kernel(s[rows, None], nodes, xvals) over all columns.
+    Nodes on or below every point of a row block, and those above every
+    point, take one kernel branch each; only the narrow band between needs
+    both.  Entries formed from declared factors are asked for a whole range
+    per ``kernel_eval`` call, so the t factor is built once per range; branch
+    callables make temporaries the size of what they are asked for, so their
+    ranges are cut into pieces of at most _PIECE entries, which fit in cache
+    and are reused from the heap, not page-faulted afresh.
+
+    With ``workspace``, float64 and ``size`` rows of N entries,
+    ``kernel_eval`` forms every entry once, in place, in its first len(rows)
+    rows, and ``entries`` is that view.  Without it ``entries``
+    yields (c0, c1, the entries of columns c0:c1), each a new array: the
+    dense Galerkin projection reduces them piece by piece and so keeps no
+    full row block.  The blocks run in order, in the calling thread.
     """
     nodes = grid.nodes
 
-    def pieces(points):
+    def columns(points):
         lo, hi = np.searchsorted(nodes, (points[0, 0], points[-1, 0]), side="right")
-        width = max(1, _PIECE // points.size)
+        step = nodes.size if problem.factors is not None else max(1, _PIECE // points.size)
         for r0, r1 in ((0, lo), (lo, hi), (hi, nodes.size)):
-            for c0 in range(r0, r1, width):
-                c1 = min(c0 + width, r1)
-                yield c0, c1, kernel_eval(
-                    problem, points, nodes[None, c0:c1], xvals[None, c0:c1], order
-                )
+            for c0 in range(r0, r1, step):
+                yield c0, min(c0 + step, r1)
+
+    def entries(points, c0, c1, out=None):
+        return kernel_eval(problem, points, nodes[None, c0:c1], xvals[None, c0:c1], order, out=out)
 
     for start in range(0, s.size, size):
         rows = slice(start, min(start + size, s.size))
-        write(rows, pieces(s[rows, None]))
+        points = s[rows, None]
+        if workspace is None:
+            write(rows, ((c0, c1, entries(points, c0, c1)) for c0, c1 in columns(points)))
+        else:
+            filled = workspace[: rows.stop - start]
+            for c0, c1 in columns(points):
+                entries(points, c0, c1, filled[:, c0:c1])
+            write(rows, filled)
 
 
-def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None):
+def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None, workspace=None):
     """sum_b W_b [extra_b] * kernel(s_a, node_b, xvals_b) at points s of any shape.
 
     The one path from points to K_m values, a :func:`_sweep` over the points
     in stable ascending order: no value depends on the order of the points.
+    ``workspace`` is the sweep's, min(s.size, _CHUNK) x N float64; a new one
+    when not given.
     """
     s = np.asarray(s, dtype=float)
     w = grid.node_weights if weight_extra is None else grid.node_weights * weight_extra
     perm = np.argsort(s, axis=None, kind="stable")
     out = np.empty(s.size)
+    if workspace is None:
+        workspace = np.empty((min(s.size, _CHUNK), grid.node_count))
 
-    def write(rows, pieces):
-        block = np.empty((rows.stop - rows.start, grid.node_count))
-        for c0, c1, piece in pieces:
-            block[:, c0:c1] = piece
+    def write(rows, entries):
         # a numpy reduction, not a BLAS GEMV: no thread split enters the bits
-        out[perm[rows]] = np.einsum("ij,j->i", block, w)
+        out[perm[rows]] = np.einsum("ij,j->i", entries, w)
 
-    _sweep(problem, grid, xvals, s.ravel()[perm], order, write)
+    _sweep(problem, grid, xvals, s.ravel()[perm], order, write, workspace=workspace)
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
@@ -455,27 +477,32 @@ def solve_nystrom(
     else:
         x0 = _frozen_array(initial, (n_nodes,), "initial values")
 
+    # one row block of kernel entries, formed in place by the residual's sweep
+    # and by the Newton step's, which never overlap
+    workspace = np.empty((min(n_nodes, _CHUNK), n_nodes))
+
     def residual(x):
-        return x - _weighted_kernel_sum(problem, grid, x, grid.nodes, order=0) - f_nodes
+        km = _weighted_kernel_sum(problem, grid, x, grid.nodes, order=0, workspace=workspace)
+        return x - km - f_nodes
 
     a = np.empty((n_nodes, n_nodes), dtype=np.float32)  # K_m'(x), rewritten by every step
     w = grid.node_weights
 
-    def write(rows, pieces):
-        # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b), rounded once to float32
-        # and stored in place.  The kernel runs under the caller's errstate; only the
-        # float32 store raises.
-        for c0, c1, piece in pieces:
-            try:
-                with np.errstate(over="raise"):
-                    a[rows, c0:c1] = piece * w[c0:c1]
-            except FloatingPointError:
-                raise EvaluationError(
-                    f"W*dk/du of {problem.name!r} overflows the float32 Newton operator"
-                ) from None
+    def write(rows, entries):
+        # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b), scaled in place and
+        # rounded once to float32.  The kernel runs under the caller's errstate; only
+        # the scaling and the float32 store raise.
+        try:
+            with np.errstate(over="raise"):
+                entries *= w
+                a[rows] = entries
+        except FloatingPointError:
+            raise EvaluationError(
+                f"W*dk/du of {problem.name!r} overflows the float32 Newton operator"
+            ) from None
 
     def newton_step(x, res):
-        _sweep(problem, grid, x, grid.nodes, 1, write)
+        _sweep(problem, grid, x, grid.nodes, 1, write, workspace=workspace)
         return _gmres(lambda v: v - a @ v.astype(np.float32), -res)
 
     x, trace = _newton(

@@ -151,12 +151,28 @@ def _check_finite(problem: UrysohnProblem, *arrays) -> None:
         raise EvaluationError(f"kernel of {problem.name!r} returned non-finite values")
 
 
-def _product(s_factor, t_factor):
-    """The branch sum_q s_factor(s)[..., q] * t_factor(t, u)[..., q] of declared factors."""
-    return lambda s, t, u: np.einsum("...q,...q->...", s_factor(s), t_factor(t, u))
+_FINITE_BOUND = np.finfo(float).max / 2  # rank * max|a| * max|beta| below this: no entry overflows
 
 
-def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0):
+def _finite_by_factors(s_part, t_part) -> bool:
+    """True when no entry sum_q s_part[..., q] * t_part[..., q] can overflow.
+
+    That holds when rank * max|s_part| * max|t_part| < _FINITE_BOUND, found
+    in Python floats from the factors alone, in O(rows + cols) for a block;
+    a NaN or an inf factor fails it by itself.
+    """
+    rank = max(s_part.shape[-1], t_part.shape[-1])
+    s_max, t_max = (float(np.max(np.abs(part), initial=0.0)) for part in (s_part, t_part))
+    return rank * s_max * t_max < _FINITE_BOUND
+
+
+def _product_into(out, s_part, t_part):
+    """out[...] = sum_q s_part[..., q] * t_part[..., q], the factors broadcast to out's shape."""
+    parts = (np.broadcast_to(part, out.shape + part.shape[-1:]) for part in (s_part, t_part))
+    return np.einsum("...q,...q->...", *parts, out=out)
+
+
+def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0, out=None):
     """Evaluate the kernel (or its u-derivative) at (s, t, u), broadcasting.
 
     With declared ``factors`` each branch is sum_q a(s)_q * beta(t, u)_q
@@ -176,36 +192,67 @@ def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0):
     runs on the side where its values are dropped.  The result has the
     broadcast shape of s, t and the branch output either way.  The
     finiteness check covers the values returned, that is, each branch only
-    where it is used.
+    where it is used.  On a block of one side, entries formed from factors
+    are finite when rank * max|a(s)| * max|beta(t, u)| is below half the
+    largest float, an O(rows + cols) bound on the factors; only when it
+    fails are the entries themselves checked.
 
     Parameters
     ----------
     u_derivative_order : {0, 1}
         0 for the kernel value, 1 for dk/du; an integer, not a bool.
+    out : ndarray, optional
+        A float64 array of the broadcast shape of s, t and u, a strided view
+        included, filled with the same bits as the result without it and
+        returned.  Factors write their products straight into it; branch
+        values are copied in.  A wrong dtype or shape raises ValueError
+        before any factor or branch runs.
     """
     order = _count(u_derivative_order, "u_derivative_order", lo=0, hi=1)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
-    if problem.factors is not None:
-        lower, upper = (_product(side[0], side[1 + order]) for side in problem.factors)
-    elif order == 0:
-        lower, upper = problem.kappa_lower, problem.kappa_upper
-    else:
-        lower, upper = problem.kappa_lower_du, problem.kappa_upper_du
+    given = out is not None
+    if given:
+        shape = np.broadcast_shapes(s.shape, t.shape, u.shape)
+        if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
+            raise ValueError(f"out must be a float64 array of shape {shape}")
     nonempty = s.size > 0 and t.size > 0
     if nonempty and t.max() <= s.min():
-        out = np.asarray(lower(s, t, u))
+        sides = (0,)  # the lower branch alone
     elif nonempty and t.min() > s.max():
-        out = np.asarray(upper(s, t, u))
+        sides = (1,)  # the upper branch alone
     else:
-        with np.errstate(all="ignore"):
-            out = np.where(t <= s, lower(s, t, u), upper(s, t, u))
-    shape = np.broadcast_shapes(s.shape, t.shape, out.shape)
-    if out.shape != shape:
-        out = np.broadcast_to(out, shape).copy()
-    _check_finite(problem, out)
-    return float(out) if out.ndim == 0 else out
+        sides = (0, 1)
+    if problem.factors is None:
+        if order == 0:
+            branches = (problem.kappa_lower, problem.kappa_upper)
+        else:
+            branches = (problem.kappa_lower_du, problem.kappa_upper_du)
+        if len(sides) == 2:
+            with np.errstate(all="ignore"):
+                value = np.where(t <= s, branches[0](s, t, u), branches[1](s, t, u))
+        else:
+            value = np.asarray(branches[sides[0]](s, t, u))
+        _check_finite(problem, value)
+        if given:
+            np.copyto(out, value)
+        else:
+            shape = np.broadcast_shapes(s.shape, t.shape, value.shape)
+            out = value if value.shape == shape else np.broadcast_to(value, shape).copy()
+    else:
+        with np.errstate(all="ignore" if len(sides) == 2 else None):  # None keeps the caller's
+            chosen = (problem.factors[i] for i in sides)
+            parts = [(np.asarray(f[0](s)), np.asarray(f[1 + order](t, u))) for f in chosen]
+            if not given:
+                leading = (part.shape[:-1] for pair in parts for part in pair)
+                out = np.empty(np.broadcast_shapes(s.shape, t.shape, *leading))
+            _product_into(out, *parts[-1])
+            if len(sides) == 2:  # the selection of np.where(t <= s, lower, upper)
+                np.copyto(out, np.einsum("...q,...q->...", *parts[0]), where=t <= s)
+        if len(sides) == 2 or not _finite_by_factors(*parts[0]):
+            _check_finite(problem, out)
+    return out if given or out.ndim else float(out)
 
 
 def residual_check(problem: UrysohnProblem, candidate, panels: int = 64) -> float:

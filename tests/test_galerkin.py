@@ -431,7 +431,7 @@ def test_kernel_entries_of_declared_factors_match_the_branches_of_the_twin(make)
 
 
 def test_dense_paths_of_a_factored_problem_never_call_its_branches():
-    calls = []  # appended from the sweep's threads
+    calls = []  # one entry per branch call
 
     def counted(branch):
         def wrapper(*args):
@@ -584,9 +584,9 @@ def test_factored_galerkin_solve_and_z_s_evaluate_no_kernel_entry(monkeypatch):
     calls = []
     kernel = nystrom.kernel_eval
 
-    def counting(problem, s, t, u, order):
+    def counting(problem, s, t, u, order, out=None):
         calls.append(order)
-        return kernel(problem, s, t, u, order)
+        return kernel(problem, s, t, u, order, out=out)
 
     monkeypatch.setattr(nystrom, "kernel_eval", counting)
     pb = get_problem("rpk-aks")
@@ -605,13 +605,13 @@ def test_factored_galerkin_solve_and_z_s_evaluate_no_kernel_entry(monkeypatch):
 def test_dense_solve_and_z_s_evaluate_the_closed_form_kernel_count(monkeypatch):
     # Without factors a residual sums N**2 kernel values, a Newton step N**2
     # values of dk/du, and z_S at M points M*N values.
-    sizes = {0: [], 1: []}  # appended from several threads, summed after
+    sizes = {0: [], 1: []}  # the entries of each kernel_eval call, summed after
     kernel = nystrom.kernel_eval
 
-    def counting(problem, s, t, u, order):
-        out = kernel(problem, s, t, u, order)
-        sizes[order].append(out.size)
-        return out
+    def counting(problem, s, t, u, order, out=None):
+        entries = kernel(problem, s, t, u, order, out=out)
+        sizes[order].append(entries.size)
+        return entries
 
     monkeypatch.setattr(nystrom, "kernel_eval", counting)
     n = 6

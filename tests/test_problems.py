@@ -1,6 +1,7 @@
 """Problem definitions, kernel evaluation, and the residual oracle."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from urysohn import (
     get_problem,
     hammerstein_problem,
     kernel_eval,
+    km_prime_apply,
     register_problem,
     residual_check,
     sinh_greens_branches,
@@ -121,6 +123,108 @@ def test_kernel_eval_rejects_nonfinite_results():
     )
     with pytest.raises(EvaluationError):
         kernel_eval(pb, 0.5, 0.5, 0.0)
+
+
+_OUT_S = np.array([[0.5], [0.6], [0.7]])
+_OUT_T = {"below": [[0.1, 0.2, 0.5]], "above": [[0.75, 0.8, 0.9]], "band": [[0.2, 0.6, 0.9]]}
+_OUT_U = np.array([[1.5, -0.5, 2.0]])
+
+
+def _counting_factors(pb, calls):
+    """pb with each declared factor appending to ``calls`` when it runs."""
+
+    def counted(g):
+        def factor(*args):
+            calls.append(g)
+            return g(*args)
+
+        return factor
+
+    return dataclasses.replace(pb, factors=tuple(tuple(map(counted, side)) for side in pb.factors))
+
+
+@pytest.mark.parametrize("order", [0, 1], ids=["value", "du"])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("block", sorted(_OUT_T))
+@pytest.mark.parametrize("factored", [True, False], ids=["factors", "branches"])
+def test_kernel_eval_fills_and_returns_out(kernel_free_problem, factored, block, strided, order):
+    # out takes the bits of the call without it, in place, and a wrong out is
+    # refused before any factor or branch runs
+    calls = []
+    pb = _counting_factors(get_problem("rpk-aks"), calls)
+    if not factored:
+        pb = dataclasses.replace(pb, factors=None)
+    t = np.array(_OUT_T[block])
+    want = kernel_eval(pb, _OUT_S, t, _OUT_U, order)
+    store = np.full((3, 7), np.nan)
+    out = store[:, 1::2] if strided else np.empty((3, 3))
+    assert kernel_eval(pb, _OUT_S, t, _OUT_U, order, out=out) is out
+    assert np.array_equal(out, want)
+    assert np.isnan(store[:, ::2]).all()
+    guarded = pb if factored else kernel_free_problem
+    calls.clear()
+    for bad in (np.empty((3, 2)), np.empty((3, 3, 1)), np.empty((3, 3), np.float32), want.tolist()):
+        with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+            kernel_eval(guarded, _OUT_S, t, _OUT_U, order, out=bad)
+    assert calls == []
+
+
+def overflowing_products_problem():
+    """k(s, t, u) = 10**(300 |s - t|) * u**2 / 2, declared as a(s) = 10**(300 s - 150)
+    times beta(t, u) = 10**(150 - 300 t) * u**2 / 2 below the diagonal and mirrored
+    above it.  At |u| = 1e10 every factor stays below 1e170, but the entries with
+    |s - t| > 0.995 overflow, value and du, and those near the diagonal do not."""
+
+    def power(sign, shift):
+        return lambda x: 10.0 ** (sign * 300.0 * np.asarray(x, dtype=float) + shift)
+
+    def side(sign):
+        s_part, t_part = power(sign, -150.0 * sign), power(-sign, 150.0 * sign)
+        return (
+            lambda s: s_part(s)[..., None],
+            lambda t, u: (t_part(t) * u**2 / 2)[..., None],
+            lambda t, u: (t_part(t) * u)[..., None],
+        )
+
+    def branch(du):
+        return lambda s, t, u: 10.0 ** (300.0 * np.abs(s - t)) * (u if du else u**2 / 2)
+
+    return UrysohnProblem(
+        name="overflowing-products",
+        kappa_lower=branch(False),
+        kappa_upper=branch(False),
+        kappa_lower_du=branch(True),
+        kappa_upper_du=branch(True),
+        f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        factors=(side(1.0), side(-1.0)),
+    )
+
+
+_CORNERS = {  # (s, t) blocks holding entries with |s - t| = 1
+    "below": ([[0.98], [0.99], [1.0]], [[0.0, 0.01, 0.02]]),
+    "above": ([[0.0], [0.01], [0.02]], [[0.98, 0.99, 1.0]]),
+    "band": ([[0.0], [0.5], [1.0]], [[0.0, 0.5, 1.0]]),
+}
+
+
+def test_finite_factors_whose_products_overflow_are_an_evaluation_error():
+    # The factors' bound must not pass an overflowed product on a block of one
+    # side: in every sweep below, the row blocks' bands hold finite entries only.
+    pb = overflowing_products_problem()
+    for (s, t), order in itertools.product(_CORNERS.values(), (0, 1)):
+        assert np.all(np.isfinite(kernel_eval(pb, s, t, 1.0, order)))
+        with pytest.raises(EvaluationError, match="non-finite"):
+            kernel_eval(pb, s, t, 1e10, order)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            kernel_eval(pb, s, t, 1e10, order, out=np.empty((3, 3)))
+    grid = build_grid(300, 1, gauss_rule(2))
+    huge = GridFunction(grid, np.full(grid.node_count, 1e10))
+    with pytest.raises(EvaluationError, match="non-finite"):
+        apply_km(pb, huge, 1.0)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        km_prime_apply(pb, huge, GridFunction(grid, np.ones(grid.node_count)), 0.0)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        solve_nystrom(pb, grid, initial=huge.values)
 
 
 def test_residual_oracle_accepts_exact_solution():
@@ -314,7 +418,7 @@ def test_factor_built_branches_match_greens_branches_times_psi(gamma):
 
 
 def test_nystrom_paths_of_a_factored_hammerstein_problem_never_call_g():
-    calls = []  # appended from the sweep's threads
+    calls = []  # one entry per call of G
     lower, upper = sinh_greens_branches(GAMMA)
 
     def counted(g):
