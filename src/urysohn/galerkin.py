@@ -44,9 +44,9 @@ from .nystrom import (
     _km_at,
     _newton,
     _newton_controls,
+    _pieces,
     _prefix,
     _suffix,
-    _sweep,
 )
 from .problems import UrysohnProblem, _factors
 from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
@@ -101,14 +101,12 @@ def _jacobian_at(problem, grid, wb, n, r, s_factors):
 
         def dense(zvals):
             m_full = np.empty((n, r, n, r))
-
-            def write(rows, pieces):  # dk/du on the rows of one coarse subinterval
-                inner = np.empty((r, grid.node_count))  # eta x global node b
-                for c0, c1, piece in pieces:
-                    inner[:, c0:c1] = wb.T @ piece
-                m_full[rows.start // block] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, -1), wb)
-
-            _sweep(problem, grid, zvals, grid.nodes, 1, write, size=block)
+            inner = np.empty((r, grid.node_count))  # eta x global node b
+            for j, points in enumerate(grid.nodes.reshape(n, block)):  # dk/du, piece by piece
+                for cols, piece in _pieces(problem, grid, zvals, points, 1):
+                    inner[:, cols] = wb.T @ piece
+                    del piece  # before the next piece is formed
+                m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, -1), wb)
             return _identity_minus(m_full, n * r)
 
         return dense

@@ -32,19 +32,19 @@ independence the coarse iterates track the fine ones, so that start lies in
 the fine solve's quadratic basin and the fine solve needs fewer of its
 O(N**2) kernel sweeps.
 
-Every O(N**2) kernel sweep is a :func:`_sweep`, which hands each row block
-of ascending points to a reducer.  For K_m and K_m' at points, the node
-residual and the Newton operator, ``kernel_eval`` forms each entry once, in
-place, in one float64 row-block workspace (one per solve, shared by its
-residual and Newton sweeps, or one per :func:`apply_km` call): from
+Every O(N**2) kernel sweep is a :func:`_sweep`, a generator of the row
+blocks of ascending points.  It owns one float64 row block, allocated per
+sweep, in which ``kernel_eval`` forms each entry once, in place: from
 declared factors a whole range of columns below, across and above the
-diagonal per call, from branch callables in pieces of _PIECE entries.  The
-residual sums the block's rows; the Newton step scales it by W in place and
-rounds it once into its float32 operator.  The dense Galerkin matrix
-projects fresh column pieces instead.  The blocks run one after another in
-the calling thread: once a dense entry is one product of declared factors,
-threads sharing the blocks run them no faster than one thread, and each
-thread adds its own temporaries to the peak memory.
+diagonal per call, from branch callables in pieces of _PIECE entries (the
+ranges of :func:`_columns`).  K_m and K_m' at points and the node residual
+sum the block's rows (:func:`_weighted_kernel_sum`); the Newton step scales
+it by W in place and rounds it once into its float32 operator.  The dense
+Galerkin matrix projects the fresh column pieces of :func:`_pieces`
+instead, one coarse subinterval's rows at a time.  The blocks run one after
+another in the calling thread: once a dense entry is one product of
+declared factors, threads sharing the blocks run them no faster than one
+thread, and each thread adds its own temporaries to the peak memory.
 """
 
 from __future__ import annotations
@@ -94,69 +94,69 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
 
-def _sweep(problem, grid, xvals, s, order, write, size=_CHUNK, workspace=None):
-    """write(rows, entries) for each slice ``rows`` of ``size`` points of the ascending 1-d s.
+def _columns(problem, grid, xvals, points):
+    """(cols, nodes[None, cols], xvals[None, cols]) over the columns of the
+    ascending column vector ``points``.
 
-    The entries are kernel(s[rows, None], nodes, xvals) over all columns.
-    Nodes on or below every point of a row block, and those above every
-    point, take one kernel branch each; only the narrow band between needs
-    both.  Entries formed from declared factors are asked for a whole range
-    per ``kernel_eval`` call, so the t factor is built once per range; branch
-    callables make temporaries the size of what they are asked for, so their
-    ranges are cut into pieces of at most _PIECE entries, which fit in cache
-    and are reused from the heap, not page-faulted afresh.
-
-    With ``workspace``, float64 and ``size`` rows of N entries,
-    ``kernel_eval`` forms every entry once, in place, in its first len(rows)
-    rows, and ``entries`` is that view.  Without it ``entries``
-    yields (c0, c1, the entries of columns c0:c1), each a new array: the
-    dense Galerkin projection reduces them piece by piece and so keeps no
-    full row block.  The blocks run in order, in the calling thread.
+    Nodes on or below every point take one kernel branch, those above every
+    point the other, and only the band between needs both.  Declared factors
+    are asked for a whole range per ``kernel_eval`` call, so the t factor is
+    built once per range; branch callables make temporaries the size of what
+    they are asked for, so their ranges are cut into pieces of at most
+    _PIECE entries, which fit in cache and are reused from the heap.
     """
     nodes = grid.nodes
-
-    def columns(points):
-        lo, hi = np.searchsorted(nodes, (points[0, 0], points[-1, 0]), side="right")
-        step = nodes.size if problem.factors is not None else max(1, _PIECE // points.size)
-        for r0, r1 in ((0, lo), (lo, hi), (hi, nodes.size)):
-            for c0 in range(r0, r1, step):
-                yield c0, min(c0 + step, r1)
-
-    def entries(points, c0, c1, out=None):
-        return kernel_eval(problem, points, nodes[None, c0:c1], xvals[None, c0:c1], order, out=out)
-
-    for start in range(0, s.size, size):
-        rows = slice(start, min(start + size, s.size))
-        points = s[rows, None]
-        if workspace is None:
-            write(rows, ((c0, c1, entries(points, c0, c1)) for c0, c1 in columns(points)))
-        else:
-            filled = workspace[: rows.stop - start]
-            for c0, c1 in columns(points):
-                entries(points, c0, c1, filled[:, c0:c1])
-            write(rows, filled)
+    lo, hi = np.searchsorted(nodes, (points[0, 0], points[-1, 0]), side="right")
+    step = nodes.size if problem.factors is not None else max(1, _PIECE // points.size)
+    for r0, r1 in ((0, lo), (lo, hi), (hi, nodes.size)):
+        for c0 in range(r0, r1, step):
+            cols = slice(c0, min(c0 + step, r1))
+            yield cols, nodes[None, cols], xvals[None, cols]
 
 
-def _weighted_kernel_sum(problem, grid, xvals, s, order, weight_extra=None, workspace=None):
-    """sum_b W_b [extra_b] * kernel(s_a, node_b, xvals_b) at points s of any shape.
+def _sweep(problem, grid, xvals, s, order):
+    """(rows, entries) for each slice ``rows`` of _CHUNK points of the ascending 1-d s.
+
+    ``entries`` is kernel(s[rows, None], nodes, xvals) over all columns,
+    formed once, in place, by ``kernel_eval`` over the :func:`_columns`.  It
+    is a view of the sweep's one min(s.size, _CHUNK) x N float64 block,
+    refilled for the next row block: a consumer may rewrite it, and is done
+    with it before it asks for the next.  The blocks run in order, in the
+    calling thread.
+    """
+    block = np.empty((min(s.size, _CHUNK), grid.node_count))
+    for start in range(0, s.size, _CHUNK):
+        rows = slice(start, min(start + _CHUNK, s.size))
+        points, entries = s[rows, None], block[: rows.stop - start]
+        for cols, t, u in _columns(problem, grid, xvals, points):
+            kernel_eval(problem, points, t, u, order, out=entries[:, cols])
+        yield rows, entries
+
+
+def _pieces(problem, grid, xvals, points, order):
+    """(cols, kernel(points[:, None], nodes[cols], xvals[cols])) for the :func:`_columns`
+    of the ascending 1-d ``points``, each piece a new array.
+
+    The dense Galerkin projection reduces them one by one and so stores no
+    row block of its points.
+    """
+    points = points[:, None]
+    for cols, t, u in _columns(problem, grid, xvals, points):
+        yield cols, kernel_eval(problem, points, t, u, order)
+
+
+def _weighted_kernel_sum(problem, grid, xvals, s, order, weights):
+    """sum_b weights_b * kernel(s_a, node_b, xvals_b) at points s of any shape.
 
     The one path from points to K_m values, a :func:`_sweep` over the points
     in stable ascending order: no value depends on the order of the points.
-    ``workspace`` is the sweep's, min(s.size, _CHUNK) x N float64; a new one
-    when not given.
     """
     s = np.asarray(s, dtype=float)
-    w = grid.node_weights if weight_extra is None else grid.node_weights * weight_extra
     perm = np.argsort(s, axis=None, kind="stable")
     out = np.empty(s.size)
-    if workspace is None:
-        workspace = np.empty((min(s.size, _CHUNK), grid.node_count))
-
-    def write(rows, entries):
+    for rows, entries in _sweep(problem, grid, xvals, s.ravel()[perm], order):
         # a numpy reduction, not a BLAS GEMV: no thread split enters the bits
-        out[perm[rows]] = np.einsum("ij,j->i", entries, w)
-
-    _sweep(problem, grid, xvals, s.ravel()[perm], order, write, workspace=workspace)
+        out[perm[rows]] = np.einsum("ij,j->i", entries, weights)
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
@@ -206,7 +206,7 @@ def _km_at(problem, grid, s, s_factors=None):
     the benchmark pins their counts; the ``factors=None`` twin is the reference.
     """
     if problem.factors is None:
-        return lambda xvals: _weighted_kernel_sum(problem, grid, xvals, s, order=0)
+        return lambda xvals: _weighted_kernel_sum(problem, grid, xvals, s, 0, grid.node_weights)
     flat = np.ravel(s)
     j = np.searchsorted(grid.nodes, flat, side="right")
     a_s, c_s = _factors(problem, 0, flat) if s_factors is None else s_factors
@@ -233,7 +233,7 @@ def apply_km(problem: UrysohnProblem, x: GridFunction, s):
     declared factors, each entry then a product of the factors
     (``kernel_eval``); the ``factors=None`` twin evaluates the branches.
     """
-    return _weighted_kernel_sum(problem, x.grid, x.values, _unit_points(s), order=0)
+    return _weighted_kernel_sum(problem, x.grid, x.values, _unit_points(s), 0, x.grid.node_weights)
 
 
 def km_prime_apply(problem: UrysohnProblem, base: GridFunction, v: GridFunction, s):
@@ -246,9 +246,8 @@ def km_prime_apply(problem: UrysohnProblem, base: GridFunction, v: GridFunction,
     """
     if base.grid is not v.grid and not np.array_equal(base.grid.nodes, v.grid.nodes):
         raise ValueError("base and direction must live on the same grid")
-    return _weighted_kernel_sum(
-        problem, base.grid, base.values, _unit_points(s), order=1, weight_extra=v.values
-    )
+    weights = base.grid.node_weights * v.values
+    return _weighted_kernel_sum(problem, base.grid, base.values, _unit_points(s), 1, weights)
 
 
 def _extension(problem: UrysohnProblem, x: GridFunction, s):
@@ -477,32 +476,26 @@ def solve_nystrom(
     else:
         x0 = _frozen_array(initial, (n_nodes,), "initial values")
 
-    # one row block of kernel entries, formed in place by the residual's sweep
-    # and by the Newton step's, which never overlap
-    workspace = np.empty((min(n_nodes, _CHUNK), n_nodes))
-
-    def residual(x):
-        km = _weighted_kernel_sum(problem, grid, x, grid.nodes, order=0, workspace=workspace)
-        return x - km - f_nodes
-
-    a = np.empty((n_nodes, n_nodes), dtype=np.float32)  # K_m'(x), rewritten by every step
     w = grid.node_weights
 
-    def write(rows, entries):
-        # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b), scaled in place and
-        # rounded once to float32.  The kernel runs under the caller's errstate; only
-        # the scaling and the float32 store raise.
-        try:
-            with np.errstate(over="raise"):
-                entries *= w
-                a[rows] = entries
-        except FloatingPointError:
-            raise EvaluationError(
-                f"W*dk/du of {problem.name!r} overflows the float32 Newton operator"
-            ) from None
+    def residual(x):
+        return x - _weighted_kernel_sum(problem, grid, x, grid.nodes, 0, w) - f_nodes
+
+    a = np.empty((n_nodes, n_nodes), dtype=np.float32)  # K_m'(x), rewritten by every step
 
     def newton_step(x, res):
-        _sweep(problem, grid, x, grid.nodes, 1, write, workspace=workspace)
+        for rows, entries in _sweep(problem, grid, x, grid.nodes, 1):
+            # J = I - A with A_ab = W_b * dk/du(node_a, node_b, x_b), scaled in place and
+            # rounded once to float32.  The kernel runs under the caller's errstate; only
+            # the scaling and the float32 store raise.
+            try:
+                with np.errstate(over="raise"):
+                    entries *= w
+                    a[rows] = entries
+            except FloatingPointError:
+                raise EvaluationError(
+                    f"W*dk/du of {problem.name!r} overflows the float32 Newton operator"
+                ) from None
         return _gmres(lambda v: v - a @ v.astype(np.float32), -res)
 
     x, trace = _newton(

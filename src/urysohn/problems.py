@@ -342,8 +342,8 @@ def hammerstein_problem(
     """Assemble a problem with kernel k(s,t,u) = G(s,t) * psi(t,u).
 
     ``g_factors`` (optional) is (L, R, P, Q) with G(s,t) = L(s) * R(t) for
-    t <= s and P(s) * Q(t) for t > s, each a scalar function; it becomes
-    the problem's ``factors`` (rank 1 on each side), checked against
+    t <= s and P(s) * Q(t) for t > s, each a scalar function (else ValueError);
+    it becomes the problem's ``factors`` (rank 1 on each side), checked against
     ``g_lower`` and ``g_upper`` like any declared factors.  The branch
     callables are always G's own branches times psi (psi_du in the
     derivatives); with factors, the solvers' dense entries come from
@@ -361,6 +361,9 @@ def hammerstein_problem(
 
     factors = None
     if g_factors is not None:
+        four = isinstance(g_factors, (tuple, list)) and len(g_factors) == 4
+        if not (four and all(callable(g) for g in g_factors)):
+            raise ValueError("g_factors must be (L, R, P, Q), four callables: G's factors")
         l_s, r_t, p_s, q_t = g_factors
         factors = (side(l_s, r_t), side(p_s, q_t))
     return UrysohnProblem(

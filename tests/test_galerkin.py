@@ -320,7 +320,10 @@ def test_solve_matches_dense_reference_bit_for_bit(crossing_problem, n, r):
 def test_dense_jacobian_beyond_one_piece_matches_the_piecewise_reference_bit_for_bit(n, r):
     # N = 864 and 6912 nodes: the rows of a coarse subinterval span several
     # column pieces of _PIECE // block, and the projection of each piece is
-    # its own GEMM, so no p*rho x N row block is ever stored.
+    # its own GEMM, so no p*rho x N row block is ever stored.  The peak holds
+    # a few pieces of _PIECE entries and the branches' temporaries of one:
+    # 1.08 and 1.73 MiB (numpy 2.4.6).  At (12, 2) a quarter of the 30.4 MiB
+    # row block bounds it; at (6, 2) the row block is smaller than two pieces.
     pb = dataclasses.replace(get_problem("rpk-aks"), factors=None)
     grid = build_grid(n, n**r, gauss_rule(minimal_rho(r)))  # the solver's default grid
     nodes, block = grid.nodes, grid.offsets.size
@@ -342,7 +345,16 @@ def test_dense_jacobian_beyond_one_piece_matches_the_piecewise_reference_bit_for
         m_full[j] = np.einsum("ekb,bx->ekx", inner.reshape(r, n, block), wb)
     jac = -m_full.reshape(n * r, n * r)
     jac[np.diag_indices_from(jac)] += 1.0
-    np.testing.assert_array_equal(_jacobian_at(pb, grid, wb, n, r, None)(z), jac)
+    jacobian = _jacobian_at(pb, grid, wb, n, r, None)
+    tracemalloc.start()
+    try:
+        got = jacobian(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_block = 8 * block * grid.node_count
+    assert peak < max(row_block / 4, 4 * 8 * nystrom._PIECE), f"{peak / 2**20:.2f} MiB"
+    np.testing.assert_array_equal(got, jac)
 
 
 def test_iterated_solution_checks_the_domain_before_the_forcing(sqrt_forcing_problem):

@@ -371,11 +371,11 @@ def test_newton_operator_beyond_the_float32_range_is_an_evaluation_error(scale, 
 
 def test_newton_stores_no_float64_node_matrix():
     # A float64 N x N array alone takes 8 N**2 bytes.  The float32 K_m'(x)
-    # takes 4 N**2 and the solve's one float64 row block of kernel entries
-    # 8 * 128 * N; the rest is O(N): 211 N bytes at this N (numpy 2.4.6),
-    # where a float64 temporary per 128 x 512 piece of W * dk/du, made
-    # before its float32 store, took it to 628 N.  The default start also
-    # solves on the coarse grid.
+    # takes 4 N**2, and each sweep one float64 row block of kernel entries,
+    # 8 * 128 * N, with one sweep at a time; the rest is O(N): 211 N bytes
+    # at this N (numpy 2.4.6), where a float64 temporary per 128 x 512 piece
+    # of W * dk/du, made before its float32 store, took it to 628 N.  The
+    # default start also solves on the coarse grid.
     pb = get_problem("rpk-aks")
     grid = builtin_grid(1000)
     n = grid.node_count

@@ -391,6 +391,23 @@ def test_g_factors_are_checked_against_the_greens_branches():
         )
 
 
+@pytest.mark.parametrize(
+    "g_factors",
+    [5, _sinh_greens_factors(4.0)[:3], (1, 2, 3, 4)],
+    ids=["an-int", "three-callables", "four-ints"],
+)
+def test_malformed_g_factors_are_a_value_error_that_names_them(g_factors):
+    with pytest.raises(ValueError, match=r"g_factors must be \(L, R, P, Q\)"):
+        hammerstein_problem(
+            "malformed-g",
+            *sinh_greens_branches(np.sqrt(12.0)),
+            _psi,
+            _psi_du,
+            lambda s: np.ones_like(np.asarray(s, dtype=float)),
+            g_factors=g_factors,
+        )
+
+
 @pytest.mark.parametrize("gamma", [np.sqrt(12.0), 40.0, 700.0], ids=["sqrt12", "40", "700"])
 def test_factor_built_branches_match_greens_branches_times_psi(gamma):
     lower, upper = sinh_greens_branches(gamma)
