@@ -9,6 +9,7 @@ rows.  All output is plain text (no color codes).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -185,7 +186,9 @@ def _add_common(sub, multi_n: bool):
     sub.add_argument("--output", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = _Parser(prog="urysohn", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

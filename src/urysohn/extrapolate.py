@@ -190,7 +190,7 @@ def convergence_study(
         raise ValueError(f"each n must double the previous one, got {ns}")
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    _plan(ns[-1], r, p, rho)
+    _plan(problem, ns[-1], r, p, rho)
 
     solved = []
     z_s = []

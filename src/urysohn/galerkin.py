@@ -27,8 +27,8 @@ c(s) at the nodes, shared by K_m and the Jacobian, with the node counts of
 K_m and the projections and the block mask of the Jacobian, so a step
 evaluates only the t factors beta, delta and their u-derivatives.  K_m, in
 the residual and in z_S, comes from ``nystrom._km_at``; it and
-:func:`_jacobian_at` read the factors through ``problems._factors``, the
-one reader of declared factors.
+:func:`_jacobian_at` read the factors through ``problems._factors``, their
+reader at 1-d points.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nystrom import (
+    _CHUNK,
+    _PIECE,
     GridFunction,
     _NewtonTrace,
     _extension,
@@ -152,10 +154,11 @@ def _identity_minus(m_full, size):
     return jac
 
 
-def _plan(n, r, p, rho, rank=1):
-    """(n, r, p, rule) of a solve, checked, and p defaulted to n**r; DomainError,
-    with the byte count, if its planned bytes, for factors of at most ``rank``
-    terms a side, exceed physical memory."""
+def _plan(problem, n, r, p, rho, rank=1):
+    """(n, r, p, rule) of a solve of ``problem``, checked, and p defaulted to n**r;
+    DomainError, with the byte count, if its planned bytes, for factors of at most
+    ``rank`` terms a side, or for the dense sweeps of a problem without factors,
+    exceed physical memory.  Neither the grid nor the kernel is touched."""
     n = _count(n, "n")
     rule = gauss_rule(minimal_rho(r) if rho is None else rho)
     r = _check_order(r, rule.npoints)
@@ -164,6 +167,9 @@ def _plan(n, r, p, rho, rank=1):
     nodes = n * block
     what = f"a Galerkin solve on {nodes} nodes" + (f" with rank-{rank} factors" if rank > 1 else "")
     node_bytes = 8 * nodes * (11 + 5 * r + (5 + 5 * r) * (rank - 1)) + 16 * block * (r + 1)
+    if problem.factors is None:  # the K_m sweep's row block and four kernel pieces
+        node_bytes += 8 * min(nodes, _CHUNK) * nodes + 32 * max(_PIECE, block)
+        what += " without factors"
     _fits(node_bytes + 17 * (n * r) ** 2, what)
     return n, r, p, rule
 
@@ -209,10 +215,14 @@ def solve_discrete_galerkin(
     DomainError, with the byte count, comes before the grid is built.
     Factors of rank q > 1 on either side add 8*N*(5 + 5*r)*(q - 1) bytes,
     checked once a(nodes) and c(nodes) show q, before any t factor.  A
-    solve without factors also holds the 128 x N float64 row block of its
-    K_m sweep; the plan does not count it.
+    solve without factors adds 8*min(N, 128)*N bytes, the float64 row block
+    of its K_m sweep, and 32*max(65536, p*rho), four of the kernel pieces
+    that its sweep and its Jacobian form, decided from ``problem.factors``
+    before the grid is built; that plan is 1.21 to 1.52 times the
+    tracemalloc peak of the ``rpk-aks`` twin at (n, r) = (20, 1), (40, 1),
+    (6, 2) and (12, 2).
     """
-    n, r, p, rule = _plan(n, r, p, rho)
+    n, r, p, rule = _plan(problem, n, r, p, rho)
     grid = build_grid(n, p, rule)
     basis = basis_matrix(grid, r)  # (block, r), identical on every subinterval
     wb = grid.node_weights[: basis.shape[0], None] * basis
@@ -224,7 +234,7 @@ def solve_discrete_galerkin(
     _newton_controls(tol, max_iter)  # before the first kernel or factor call
     s_factors = _factors(problem, 0, grid.nodes)
     if s_factors is not None:  # their rank, planned before the first t factor
-        _plan(n, r, p, rho, max(part.shape[1] for part in s_factors))
+        _plan(problem, n, r, p, rho, max(part.shape[1] for part in s_factors))
     km = _km_at(problem, grid, grid.nodes, s_factors)
     jacobian = _jacobian_at(problem, grid, wb, n, r, s_factors)
 

@@ -9,8 +9,8 @@ anywhere in [0, 1] come from the natural extension x(s) = f(s) + K_m(x)(s).
 The kernel is evaluated with the correct branch on each side of t = s via
 :func:`urysohn.problems.kernel_eval`, which is what limits the attainable
 accuracy to O(fine_h**2): the diagonal kink sits inside quadrature panels.
-:func:`_km_at` sums declared ``factors``, read by ``problems._factors``, the
-one reader of them: K_m at M points, for the natural extension and the
+:func:`_km_at` sums declared ``factors``, read at 1-d points by
+``problems._factors``: K_m at M points, for the natural extension and the
 Galerkin residual, takes O((N + M) * rank + M log N), of which the M-point
 half (the node counts j and the s factors) is built once per point set and
 the node half, the blocked prefix and suffix sums :func:`_prefix` and
@@ -257,6 +257,11 @@ def _extension(problem: UrysohnProblem, x: GridFunction, s):
     return float(out) if s.ndim == 0 else out
 
 
+def _norm(v) -> float:
+    """The 2-norm of the 1-d v by a numpy reduction; np.linalg.norm is a BLAS dot."""
+    return math.sqrt(np.einsum("i,i->", v, v))
+
+
 def _gmres(matvec, b):
     """Solve A x = b by unrestarted GMRES from x = 0; matvec(v) returns A v, a new array.
 
@@ -267,9 +272,12 @@ def _gmres(matvec, b):
     <= _GMRES_RTOL * ||b||_2, or at Krylov dimension N, where the minimiser
     is the exact solution.  A rotated diagonal entry of exactly 0 with the
     residual unmet is the Krylov analogue of a zero pivot: LinAlgError.
+    Its products and norms are numpy reductions, not BLAS GEMVs or dot
+    products, which OpenBLAS splits across threads: its bits do not depend
+    on the BLAS thread count.
     """
     n = b.size
-    beta = float(np.linalg.norm(b))
+    beta = _norm(b)
     if beta == 0.0:
         return np.zeros(n)
     target = _GMRES_RTOL * beta
@@ -283,10 +291,10 @@ def _gmres(matvec, b):
         w = matvec(basis[k])
         h = np.zeros(k + 1)
         for _ in range(2):
-            c = basis[: k + 1] @ w
-            w -= c @ basis[: k + 1]
+            c = np.einsum("ij,j->i", basis[: k + 1], w)
+            w -= np.einsum("i,ij->j", c, basis[: k + 1])
             h += c
-        w_norm = float(np.linalg.norm(w))
+        w_norm = _norm(w)
         for i, (cs, sn) in enumerate(rotations):
             h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - sn * h[i]
         diag = float(np.hypot(h[k], w_norm))
@@ -306,7 +314,7 @@ def _gmres(matvec, b):
             basis = np.concatenate([basis, np.empty((grow, n))])
             tri = np.pad(tri, (0, grow))
         basis[k] = w / w_norm
-    return np.linalg.solve(tri[:k, :k], np.array(g[:k])) @ basis[:k]
+    return np.einsum("i,ij->j", np.linalg.solve(tri[:k, :k], np.array(g[:k])), basis[:k])
 
 
 def _newton_controls(tol, max_iter) -> int:
@@ -496,7 +504,8 @@ def solve_nystrom(
                 raise EvaluationError(
                     f"W*dk/du of {problem.name!r} overflows the float32 Newton operator"
                 ) from None
-        return _gmres(lambda v: v - a @ v.astype(np.float32), -res)
+        # vecdot, one float32 dot per row: a GEMV would be split across BLAS threads
+        return _gmres(lambda v: v - np.vecdot(a, v.astype(np.float32)), -res)
 
     x, trace = _newton(
         x0,

@@ -66,8 +66,12 @@ class UrysohnProblem:
     a branch is not finite are not compared.  Otherwise ValueError names
     the side and the order; factors not shaped as two triples of callables
     raise ValueError too.  Declared factors are the kernel of every solver
-    path, dense entries included (:func:`kernel_eval`); the branches serve
-    the check, :func:`residual_check` and the ``factors=None`` twin.
+    path.  Two functions read them: ``_factors`` at 1-d points, for the
+    prefix sums of K_m and of the Galerkin Jacobian, and ``_branch_into``
+    on blocks, for each dense entry (:func:`kernel_eval`) and for the check
+    above.  The branches serve the check, :func:`residual_check` and the
+    ``factors=None`` twin, whose dense entries ``_branch_into`` copies from
+    them.
     """
 
     name: str
@@ -99,7 +103,7 @@ def _factor_values(g, count, *args):
 
 
 def _factors(problem: UrysohnProblem, which: int, *args):
-    """The one reader of declared factors: factor ``which`` of both sides at the 1-d points
+    """The reader of declared factors at 1-d points: factor ``which`` of both sides at
     args[0], each a (points, rank) array, checked finite; None without factors.  which = 0
     gives a(s) and c(s), 1 beta and delta at (t, u), 2 their u-derivatives."""
     if problem.factors is None:
@@ -128,14 +132,12 @@ def _check_factors(problem: UrysohnProblem) -> None:
         ("lower", t <= s, problem.kappa_lower, problem.kappa_lower_du),
         ("upper", t > s, problem.kappa_upper, problem.kappa_upper_du),
     )
-    for side, (name, on_side, *branch) in zip(sides, branches):
+    for side, (name, on_side, *branch) in enumerate(branches):
         args = (s[on_side], t[on_side], u[on_side])
-        size = args[0].size
-        left = _factor_values(side[0], size, args[0])
+        got = np.empty(args[0].shape)
         for order, what in enumerate(("value", "du")):
-            want = np.broadcast_to(np.asarray(branch[order](*args), dtype=float), args[0].shape)
-            right = _factor_values(side[1 + order], size, *args[1:])
-            got = np.sum(left * right, axis=-1)
+            want = np.broadcast_to(np.asarray(branch[order](*args), dtype=float), got.shape)
+            _branch_into(problem, side, order, *args, got)
             finite = np.isfinite(want)
             scale = float(np.max(np.abs(want[finite]), initial=0.0))
             if not np.all(np.abs(got[finite] - want[finite]) <= _FACTOR_RTOL * scale):
@@ -166,19 +168,38 @@ def _finite_by_factors(s_part, t_part) -> bool:
     return rank * s_max * t_max < _FINITE_BOUND
 
 
-def _product_into(out, s_part, t_part):
-    """out[...] = sum_q s_part[..., q] * t_part[..., q], the factors broadcast to out's shape."""
-    parts = (np.broadcast_to(part, out.shape + part.shape[-1:]) for part in (s_part, t_part))
-    return np.einsum("...q,...q->...", *parts, out=out)
+def _branch_into(problem: UrysohnProblem, side: int, order: int, s, t, u, out) -> bool:
+    """Write branch ``side`` (0 lower, 1 upper) of the kernel, or of dk/du for
+    ``order`` 1, at (s, t, u) into ``out``; the one filler of both kernel forms.
+
+    Declared factors write sum_q a(s)_q * beta(t, u)_q (c and delta above),
+    broadcast to out's shape, straight into it; otherwise the branch
+    callable's value is copied in.  True when :func:`_finite_by_factors`
+    alone proves every entry finite, False when the caller must look.
+    """
+    if problem.factors is None:
+        branches = (problem.kappa_lower, problem.kappa_upper)
+        if order:
+            branches = (problem.kappa_lower_du, problem.kappa_upper_du)
+        np.copyto(out, branches[side](s, t, u))
+        return False
+    factor = problem.factors[side]
+    parts = (np.asarray(factor[0](s)), np.asarray(factor[1 + order](t, u)))
+    wide = (np.broadcast_to(part, out.shape + part.shape[-1:]) for part in parts)
+    np.einsum("...q,...q->...", *wide, out=out)
+    return _finite_by_factors(*parts)
 
 
 def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0, out=None):
     """Evaluate the kernel (or its u-derivative) at (s, t, u), broadcasting.
 
-    With declared ``factors`` each branch is sum_q a(s)_q * beta(t, u)_q
-    (beta_du for dk/du; c and delta above the diagonal) and no branch
-    callable runs: the results follow the factors, which construction ties
-    to the branches only to 1e-12 of the largest value.
+    Both kernel forms take one path, :func:`_branch_into`: with declared
+    ``factors`` each branch is sum_q a(s)_q * beta(t, u)_q (beta_du for
+    dk/du; c and delta above the diagonal) and no branch callable runs, so
+    the results follow the factors, which construction ties to the branches
+    only to 1e-12 of the largest value; without them the branch callables
+    give the values.  Either way the result has the broadcast shape of s, t
+    and u, a float when that shape is ().
 
     Points on the diagonal t == s use the lower branch (t <= s); the two
     branches agree there for a valid problem, so the choice only matters
@@ -189,13 +210,13 @@ def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0, o
     broadcasting) only the lower branch is called, when every t lies above
     every s only the upper one, and otherwise both, on the whole broadcast
     block and with numpy's floating-point warnings off, since each then also
-    runs on the side where its values are dropped.  The result has the
-    broadcast shape of s, t and the branch output either way.  The
-    finiteness check covers the values returned, that is, each branch only
-    where it is used.  On a block of one side, entries formed from factors
-    are finite when rank * max|a(s)| * max|beta(t, u)| is below half the
-    largest float, an O(rows + cols) bound on the factors; only when it
-    fails are the entries themselves checked.
+    runs on the side where its values are dropped: the upper side fills the
+    result, and the lower side, formed in a temporary, replaces it where
+    t <= s.  The finiteness check covers the values returned, that is, each
+    branch only where it is used.  On a block of one side, entries formed
+    from factors are finite when rank * max|a(s)| * max|beta(t, u)| is below
+    half the largest float, an O(rows + cols) bound on the factors; only
+    when it fails are the entries themselves checked.
 
     Parameters
     ----------
@@ -204,54 +225,33 @@ def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0, o
     out : ndarray, optional
         A float64 array of the broadcast shape of s, t and u, a strided view
         included, filled with the same bits as the result without it and
-        returned.  Factors write their products straight into it; branch
-        values are copied in.  A wrong dtype or shape raises ValueError
-        before any factor or branch runs.
+        returned.  A wrong dtype or shape raises ValueError before any
+        factor or branch runs.
     """
     order = _count(u_derivative_order, "u_derivative_order", lo=0, hi=1)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
+    shape = np.broadcast_shapes(s.shape, t.shape, u.shape)
     given = out is not None
-    if given:
-        shape = np.broadcast_shapes(s.shape, t.shape, u.shape)
-        if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
-            raise ValueError(f"out must be a float64 array of shape {shape}")
+    if not given:
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
+        raise ValueError(f"out must be a float64 array of shape {shape}")
     nonempty = s.size > 0 and t.size > 0
     if nonempty and t.max() <= s.min():
-        sides = (0,)  # the lower branch alone
+        finite = _branch_into(problem, 0, order, s, t, u, out)  # the lower branch alone
     elif nonempty and t.min() > s.max():
-        sides = (1,)  # the upper branch alone
+        finite = _branch_into(problem, 1, order, s, t, u, out)  # the upper branch alone
     else:
-        sides = (0, 1)
-    if problem.factors is None:
-        if order == 0:
-            branches = (problem.kappa_lower, problem.kappa_upper)
-        else:
-            branches = (problem.kappa_lower_du, problem.kappa_upper_du)
-        if len(sides) == 2:
-            with np.errstate(all="ignore"):
-                value = np.where(t <= s, branches[0](s, t, u), branches[1](s, t, u))
-        else:
-            value = np.asarray(branches[sides[0]](s, t, u))
-        _check_finite(problem, value)
-        if given:
-            np.copyto(out, value)
-        else:
-            shape = np.broadcast_shapes(s.shape, t.shape, value.shape)
-            out = value if value.shape == shape else np.broadcast_to(value, shape).copy()
-    else:
-        with np.errstate(all="ignore" if len(sides) == 2 else None):  # None keeps the caller's
-            chosen = (problem.factors[i] for i in sides)
-            parts = [(np.asarray(f[0](s)), np.asarray(f[1 + order](t, u))) for f in chosen]
-            if not given:
-                leading = (part.shape[:-1] for pair in parts for part in pair)
-                out = np.empty(np.broadcast_shapes(s.shape, t.shape, *leading))
-            _product_into(out, *parts[-1])
-            if len(sides) == 2:  # the selection of np.where(t <= s, lower, upper)
-                np.copyto(out, np.einsum("...q,...q->...", *parts[0]), where=t <= s)
-        if len(sides) == 2 or not _finite_by_factors(*parts[0]):
-            _check_finite(problem, out)
+        lower = np.empty(shape)
+        with np.errstate(all="ignore"):
+            _branch_into(problem, 1, order, s, t, u, out)
+            _branch_into(problem, 0, order, s, t, u, lower)
+        np.copyto(out, lower, where=t <= s)  # the selection of np.where(t <= s, lower, upper)
+        finite = False
+    if not finite:
+        _check_finite(problem, out)
     return out if given or out.ndim else float(out)
 
 

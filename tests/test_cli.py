@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from urysohn import bbar, convergence_study, get_problem, problems, register_problem
-from urysohn.cli import format_report, run
+from urysohn.cli import build_parser, format_report, run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,6 +65,16 @@ def test_usage_error_exit_code(capture):
         code, out, err = capture(["converge", "--problem", "rpk-aks", "--n", ladder])
         assert (code, out) == (1, "")
         assert named in err
+
+
+def test_the_parser_is_built_once_and_a_usage_error_leaves_it_as_it_was(capture):
+    assert build_parser() is build_parser()
+    argv = ["converge", "--problem", "rpk-aks", "--r", "1", "--n", "10,20,40", "--format", "md"]
+    alone = format_report(convergence_study(get_problem("rpk-aks"), 1, [10, 20, 40]), "md")
+    # one error from the ladder's own parse, one from argparse's
+    for bad in (["--n", "10,x"], ["--r", "x", "--n", "10"]):
+        assert capture(["converge", "--problem", "rpk-aks", *bad])[:2] == (1, "")
+        assert capture(argv) == (0, alone, "")
 
 
 def test_nonconvergence_exit_code(capture):

@@ -551,6 +551,26 @@ def test_the_size_plan_bounds_the_peak_of_a_factored_solve(r, monkeypatch):
     assert peak <= planned
 
 
+@pytest.mark.parametrize("n, r", [(20, 1), (40, 1), (6, 2), (12, 2)])
+def test_the_size_plan_bounds_the_peak_of_a_dense_solve(n, r, monkeypatch):
+    # without factors the 128 x N row block of the K_m sweep outweighs the
+    # node arrays of the factored plan, by 7x at (20, 1) and 6x at (12, 2)
+    pb = dataclasses.replace(get_problem("rpk-aks"), name="dense", factors=None)
+    tracemalloc.start()
+    try:
+        solve_discrete_galerkin(pb, n, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    real = os.sysconf  # one byte of physical memory: the plan is refused with its byte count
+    one_byte = ("SC_PHYS_PAGES", "SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name in one_byte else real(name))
+    with pytest.raises(DomainError, match="without factors needs") as refused:
+        solve_discrete_galerkin(pb, n, r)
+    planned = int(re.search(r" needs (\d+) bytes", str(refused.value)).group(1))
+    assert peak <= planned
+
+
 @pytest.mark.parametrize("gamma", [np.sqrt(12.0), 40.0, 200.0, 700.0])
 def test_factored_km_matches_the_dense_km_at_the_nodes(gamma):
     pb = sinh_problem(gamma)

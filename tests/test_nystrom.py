@@ -325,9 +325,10 @@ def test_nystrom_jacobian_matches_dense_reference_bit_for_bit(crossing_problem, 
     gmres = nystrom._gmres
 
     def spy(matvec, b):
-        # on the identity the float32 product A @ I is A itself, so this is
-        # I - A with the float64 subtraction the reference below makes
-        operators.append(matvec(np.eye(n)))
+        # on a unit vector e_j the float32 product A e_j is column j of A
+        # itself, so this is I - A with the float64 subtraction the reference
+        # below makes
+        operators.append(np.column_stack([matvec(e) for e in np.eye(n)]))
         return gmres(matvec, b)
 
     monkeypatch.setattr(nystrom, "_gmres", spy)
@@ -670,6 +671,34 @@ def test_results_do_not_depend_on_the_cpu_or_blas_thread_count(tmp_path):
         assert (arrays.pop("cpus") == 1) == (run[0] == "pinned")
         for key, values in ref.items():
             assert np.array_equal(values, arrays[key]), (run, key)
+
+
+_GMRES_SCRIPT = """
+import sys
+import numpy as np
+from urysohn import build_grid, gauss_rule, get_problem, solve_nystrom
+from urysohn.nystrom import _gmres
+sol = solve_nystrom(get_problem("rpk-aks"), build_grid(2250, 1, gauss_rule(2)))
+out = {"nodes": sol.node_values.values, "trace": np.array(sol.residual_norms)}
+# OpenBLAS splits a float64 dot product of more than 10,000 entries across threads
+b = np.random.default_rng(3).normal(size=20000)
+out["gmres"] = _gmres(lambda v: v - 0.3 * np.roll(v, 1), b)
+np.savez(sys.argv[1], **out)
+"""
+
+
+@needs_two_cpus
+def test_a_nystrom_solve_keeps_its_bits_at_one_and_two_blas_threads(tmp_path):
+    # 4500 nodes: a BLAS GEMV in GMRES's matvec or Gram-Schmidt passes would be
+    # split across the threads, and 1111 node values would move
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.npz"
+        run_child(_GMRES_SCRIPT, str(out), timeout=120, OPENBLAS_NUM_THREADS=threads)
+        with np.load(out) as data:
+            results.append({key: data[key] for key in data.files})
+    for key, values in results[0].items():
+        assert np.array_equal(values, results[1][key]), key
 
 
 _NESTED_SCRIPT = """

@@ -316,6 +316,51 @@ def test_kernel_eval_returns_the_full_block_for_a_branch_that_ignores_s(t):
         np.testing.assert_array_equal(out, want)
 
 
+def _product_kernel(factored):
+    """k(s, t, u) = s * t, which ignores u: from factors a(s) = s and beta = t, or
+    from branch callables of the broadcast shape of s and t alone."""
+
+    def zero(s, t, u):
+        return np.zeros(np.broadcast_shapes(np.shape(s), np.shape(t)))
+
+    side = (
+        lambda s: np.asarray(s)[..., None],
+        lambda t, u: np.asarray(t)[..., None],
+        lambda t, u: np.zeros(np.shape(t) + (1,)),
+    )
+    return UrysohnProblem(
+        name="product",
+        kappa_lower=lambda s, t, u: s * t,
+        kappa_upper=lambda s, t, u: s * t,
+        kappa_lower_du=zero,
+        kappa_upper_du=zero,
+        f=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        factors=(side, side) if factored else None,
+    )
+
+
+_SHAPE_BLOCKS = {  # (s, t, u), the shape of u beyond that of s and t
+    "scalar": (0.5, 0.3, np.array([1.0, 2.0, 3.0])),
+    "column": (np.array([[0.6], [0.7], [0.8]]), np.array([[0.1, 0.2]]), np.ones((2, 1, 1))),
+    "band": (np.array([[0.2], [0.5], [0.8]]), np.array([[0.3, 0.6]]), np.ones((2, 1, 1))),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1], ids=["value", "du"])
+@pytest.mark.parametrize("block", sorted(_SHAPE_BLOCKS))
+@pytest.mark.parametrize("factored", [True, False], ids=["factors", "branches"])
+def test_kernel_eval_has_the_broadcast_shape_of_s_t_and_u_in_both_forms(factored, block, order):
+    s, t, u = _SHAPE_BLOCKS[block]
+    pb = _product_kernel(factored)
+    shape = np.broadcast_shapes(np.shape(s), np.shape(t), np.shape(u))
+    got = kernel_eval(pb, s, t, u, order)
+    assert isinstance(got, np.ndarray) and got.shape == shape
+    assert np.array_equal(got, np.broadcast_to(np.multiply(s, t) * (1 - order), shape))
+    out = np.empty(shape)
+    assert kernel_eval(pb, s, t, u, order, out=out) is out
+    assert np.array_equal(out, got)
+
+
 @pytest.mark.parametrize("order", [2, -1, True, 1.0])
 def test_kernel_eval_rejects_derivative_orders_above_one(order):
     # True and 1.0 equal 1, but a flag or a float is not a derivative order

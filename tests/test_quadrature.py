@@ -293,8 +293,12 @@ NODES = math.isqrt(PHYSICAL // 4) + 1  # 4*N**2 bytes of Nystrom operator
 
 
 def galerkin_bytes(n, r, p, rho):
-    """The planned bytes of a Galerkin solve with rank-1 factors."""
-    return 8 * n * p * rho * (11 + 5 * r) + 16 * p * rho * (r + 1) + 17 * (n * r) ** 2
+    """The planned bytes of a Galerkin solve without factors, as kernel_free_problem is:
+    those of rank-1 factors, the 128 x N row block of the K_m sweep and four kernel
+    pieces of 2**16 (or p * rho) float64 entries."""
+    nodes = n * p * rho
+    factored = 8 * nodes * (11 + 5 * r) + 16 * p * rho * (r + 1) + 17 * (n * r) ** 2
+    return factored + 8 * min(nodes, 128) * nodes + 32 * max(2**16, p * rho)
 
 
 def smallest_past_physical(nbytes):
