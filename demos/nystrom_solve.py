@@ -4,7 +4,8 @@ The integral operator is replaced by a composite Gauss sum over m panels;
 Newton's method then solves the resulting dense nonlinear system for the
 solution values at the quadrature nodes.  The natural extension evaluates
 the solution anywhere in [0, 1] through the same quadrature sum; above 256
-panels Newton starts from the natural extension of the 64-panel solution.
+panels Newton starts from the natural extension of the solution on a
+quarter of the panels.
 """
 
 import numpy as np

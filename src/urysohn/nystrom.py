@@ -27,10 +27,10 @@ convergence (Kelley, "Newton's method in mixed precision", SIAM Rev. 2022).
 Its 4*N**2 bytes are the solve's size limit: a grid on which they exceed
 physical memory is refused, with the byte count, by ``quadrature._fits``.
 On a grid of more than 256 panels Newton starts, unless told otherwise,
-from the natural extension of the solution on 64 panels: by mesh
-independence the coarse iterates track the fine ones, so that start lies in
-the fine solve's quadratic basin and the fine solve needs fewer of its
-O(N**2) kernel sweeps.
+from the natural extension of the solution on a quarter of its panels,
+itself started so: 1500 panels from 375, from 93, from f.  By mesh
+independence the coarse iterates track the fine ones, so each start lies in
+the finer solve's quadratic basin; rpk-aks takes one step on 1500 panels.
 
 Every O(N**2) kernel sweep is a :func:`_sweep`, a generator of the row
 blocks of ascending points.  It owns one float64 row block, allocated per
@@ -73,8 +73,7 @@ _CHUNK = 128  # points per row block of K_m and of the Nystrom Jacobian
 _PIECE = 1 << 16  # kernel entries per kernel_eval call on branch callables
 _SUM_BLOCK = 8192  # entries per sequential run of a factored prefix sum
 _GMRES_RTOL = 1e-13  # GMRES stops at least-squares residual <= this * ||b||_2
-_COARSE_PANELS = 64  # panels of the grid whose solution starts a finer solve
-_TWO_GRID_FLOOR = 256  # grids of more panels than this start from _COARSE_PANELS
+_TWO_GRID_FLOOR = 256  # grids of more panels than this start from a quarter of them
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,12 +423,12 @@ def solve_nystrom(
     space, is O(N**3) like a dense LU.  The float32 rounding moves only the
     steps: the float64 node residual still has to meet ``tol``.
 
-    Without ``initial``, a grid of more than 256 panels (``grid.n *
-    grid.p``) is started from the solution on 64 panels of the same basic
-    rule, found by this function with the same ``tol`` and ``max_iter`` and
-    evaluated at the nodes through its natural extension; a grid of at most
-    256 panels starts from f.  ``newton_iterations`` and ``residual_norms``
-    describe the Newton iteration on ``grid`` only.
+    Without ``initial``, a grid of m = ``grid.n * grid.p`` > 256 panels is
+    started from the solution on m // 4 panels of the same basic rule, found
+    by this function with the same ``tol`` and ``max_iter`` (so started the
+    same way) and evaluated at the nodes through its natural extension; a
+    grid of at most 256 panels starts from f.  ``newton_iterations`` and
+    ``residual_norms`` describe the Newton iteration on ``grid`` only.
 
     Parameters
     ----------
@@ -444,15 +443,15 @@ def solve_nystrom(
         Maximum number of Newton iterations (residual evaluations); a
         positive integer.
     initial : None, callable, or ndarray
-        Starting values at the nodes, finite; None gives the coarse-grid
-        start above 256 panels and f at or below.
+        Starting values at the nodes, finite; None gives the start from
+        m // 4 panels above 256 panels and f at or below.
 
     Raises
     ------
     ConvergenceError
         If the iteration does not reach ``tol`` (carries the residual trace).
-        A failure on the coarse grid of the default start is raised as the
-        same class, with the coarse trace and the coarse node count.
+        A failure on a coarse grid of the default start is raised as the
+        same class, with its trace and the node count of each coarse grid.
     SingularOperatorError
         If I - K_m'(x) is numerically singular at some iterate, or if
         ``tol`` is below the rounding floor eps*max|x| of the iterate.
@@ -469,7 +468,7 @@ def solve_nystrom(
 
     f_nodes = values_on(problem.f, grid.nodes)
     if initial is None and grid.n * grid.p > _TWO_GRID_FLOOR:
-        coarse = build_grid(_COARSE_PANELS, 1, grid.rule)
+        coarse = build_grid(grid.n * grid.p // 4, 1, grid.rule)
         try:
             initial = solve_nystrom(problem, coarse, tol, max_iter)
         except ConvergenceError as exc:

@@ -77,7 +77,7 @@ def test_newton_trace_is_roughly_quadratic():
         sol = solve_nystrom(pb, builtin_grid(m))
         trace = np.asarray(sol.residual_norms)
         # successive residuals fall faster than a fixed-rate contraction; on 400
-        # panels the coarse start leaves three residuals, 6.6e-5, 4.0e-10, ~1e-16
+        # panels the 100-panel start leaves three residuals, 2.4e-5, 7.7e-11, ~1e-15
         drops = trace[1:] / trace[:-1]
         assert np.all(drops[1:-1] < 0.1)
         assert trace[1] <= trace[0] ** 2
@@ -476,8 +476,8 @@ def dense_lu_newton(pb, grid, tol=1e-12):
     nodes, w = grid.nodes, grid.node_weights
     f = pb.f(nodes)
     x = f
-    if grid.n * grid.p > 256:  # natural extension of the 64-panel solution
-        coarse = build_grid(64, 1, grid.rule)
+    if grid.n * grid.p > 256:  # natural extension of the solution on a quarter of the panels
+        coarse = coarse_start_grid(grid)
         x = f + apply_km(pb, GridFunction(coarse, dense_lu_newton(pb, coarse, tol)[0]), nodes)
     for iterations in range(1, 51):
         res = x - apply_km(pb, GridFunction(grid, x), nodes) - f
@@ -500,7 +500,15 @@ def test_nystrom_gmres_matches_a_dense_lu_solve(crossing_problem, problem, m):
 
 
 def coarse_start_grid(grid):
-    return build_grid(64, 1, grid.rule)
+    return build_grid(grid.n * grid.p // 4, 1, grid.rule)
+
+
+def start_chain(grid):
+    """The grids a default solve on ``grid`` solves on, finest first."""
+    chain = [grid]
+    while chain[-1].n * chain[-1].p > 256:
+        chain.append(coarse_start_grid(chain[-1]))
+    return chain
 
 
 @pytest.mark.parametrize("problem, iterations", [("rpk-aks", (3, 6)), ("crossing", (3, 4))])
@@ -516,9 +524,12 @@ def test_default_start_above_256_panels_matches_the_start_from_f(
     assert np.max(np.abs(x - x_ref) / np.abs(x_ref)) <= 1e-12
 
 
-def test_only_the_default_start_solves_on_the_coarse_grid(monkeypatch):
+@pytest.mark.parametrize(
+    "m, coarse", [(300, [(75, 1, 150)]), (1500, [(375, 1, 750), (93, 1, 186)])]
+)
+def test_only_the_default_start_solves_on_the_coarse_grid(monkeypatch, m, coarse):
     pb = get_problem("rpk-aks")
-    grid = builtin_grid(300)
+    grid = builtin_grid(m)
     inner = []
     solve = nystrom.solve_nystrom
 
@@ -531,30 +542,55 @@ def test_only_the_default_start_solves_on_the_coarse_grid(monkeypatch):
         solve(pb, grid, initial=initial)
     assert inner == []
     solve(pb, grid)
-    assert [(g.n, g.p, g.node_count) for g in inner] == [(64, 1, 128)]
-    assert inner[0].rule is grid.rule
+    assert [(g.n, g.p, g.node_count) for g in inner] == coarse
+    assert all(g.rule is grid.rule for g in inner)
 
 
-def test_coarse_start_failure_names_the_coarse_grid_and_carries_its_trace():
+@pytest.mark.parametrize(
+    "m, names",
+    [
+        (300, "the 150-node grid failed: Newton"),
+        # 1500 panels start from 375, which start from 93, which start from f
+        # and take 6 Newton steps: with max_iter=3 only the innermost solve fails
+        (1500, "the 750-node grid failed: coarse start on the 186-node grid failed: Newton"),
+    ],
+)
+def test_coarse_start_failure_names_the_coarse_grid_and_carries_its_trace(m, names):
     pb = get_problem("rpk-aks")
-    grid = builtin_grid(300)
-    with pytest.raises(ConvergenceError) as coarse:
-        solve_nystrom(pb, coarse_start_grid(grid), max_iter=3)
-    with pytest.raises(ConvergenceError, match="128-node") as exc:
+    grid = builtin_grid(m)
+    with pytest.raises(ConvergenceError) as innermost:
+        solve_nystrom(pb, start_chain(grid)[-1], max_iter=3)
+    with pytest.raises(ConvergenceError, match=names) as exc:
         solve_nystrom(pb, grid, max_iter=3)
     assert type(exc.value) is ConvergenceError
-    assert exc.value.residual_norms == coarse.value.residual_norms
+    assert exc.value.residual_norms == innermost.value.residual_norms
     assert len(exc.value.residual_norms) == 3
 
 
-def test_two_grid_solve_evaluates_the_closed_form_kernel_count(monkeypatch):
-    # The coarse Newton solve and the fine Newton solve, and nothing else: the
-    # coarse solution's natural extension at the N fine nodes, like any
+@pytest.mark.parametrize("m", [300, 1200, 1500])
+def test_default_solve_lies_within_twice_its_residual_of_a_tight_solve(m):
+    # The default solve stops once its node residual meets tol, and I - K_m'(x)
+    # is near the identity, so its node values lie about one residual from the
+    # converged ones (at most 1.30 residuals on these grids).  At 1200 panels
+    # the one fine Newton step lands closest to tol, at 9.7e-13.
+    pb = get_problem("rpk-aks")
+    grid = builtin_grid(m)
+    sol = solve_nystrom(pb, grid)
+    tight = solve_nystrom(pb, grid, tol=1e-14)
+    gap = np.max(np.abs(sol.node_values.values - tight.node_values.values))
+    assert gap <= 2 * sol.final_residual_norm
+
+
+@pytest.mark.parametrize("m, grids", [(300, 2), (1500, 3)])
+def test_two_grid_solve_evaluates_the_closed_form_kernel_count(monkeypatch, m, grids):
+    # The Newton solve on each grid of the start chain, and nothing else: a
+    # coarse solution's natural extension at the finer nodes, like any
     # extension of a problem that declares factors, evaluates no kernel entry.
     pb = get_problem("rpk-aks")
-    grid = builtin_grid(300)
-    coarse = coarse_start_grid(grid)
-    iters_c = solve_nystrom(pb, coarse).newton_iterations
+    grid = builtin_grid(m)
+    chain = start_chain(grid)
+    assert len(chain) == grids
+    coarse = [(solve_nystrom(pb, g).newton_iterations, g.node_count) for g in chain[1:]]
     sizes = {0: [], 1: []}  # the entries of each kernel_eval call, summed after
     kernel = nystrom.kernel_eval
 
@@ -567,10 +603,10 @@ def test_two_grid_solve_evaluates_the_closed_form_kernel_count(monkeypatch):
     sol = solve_nystrom(pb, grid)
     iters = sol.newton_iterations
     evaluated = {order: sum(counts) for order, counts in sizes.items()}
-    n, n_c = grid.node_count, coarse.node_count
+    solves = [(iters, grid.node_count), *coarse]
     assert evaluated == {
-        0: iters_c * n_c**2 + iters * n**2,
-        1: (iters_c - 1) * n_c**2 + (iters - 1) * n**2,
+        0: sum(i * n**2 for i, n in solves),
+        1: sum((i - 1) * n**2 for i, n in solves),
     }
     for counts in sizes.values():
         counts.clear()
