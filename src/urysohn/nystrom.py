@@ -29,8 +29,9 @@ physical memory is refused, with the byte count, by ``quadrature._fits``.
 On a grid of more than 256 panels Newton starts, unless told otherwise,
 from the natural extension of the solution on a quarter of its panels,
 itself started so: 1500 panels from 375, from 93, from f.  By mesh
-independence the coarse iterates track the fine ones, so each start lies in
-the finer solve's quadratic basin; rpk-aks takes one step on 1500 panels.
+independence that start lies in the fine quadratic basin; it saves fine
+sweeps where one fine step then meets ``tol`` (rpk-aks: from ~1200 panels),
+and below that only adds coarse work, as the fine solve takes two steps.
 
 Every O(N**2) kernel sweep is a :func:`_sweep`, a generator of the row
 blocks of ascending points.  It owns one float64 row block, allocated per
