@@ -28,12 +28,15 @@ K_m and the projections and the block mask of the Jacobian, so a step
 evaluates only the t factors beta, delta and their u-derivatives.  K_m, in
 the residual and in z_S, comes from ``nystrom._km_at``; it and
 :func:`_jacobian_at` read the factors through ``problems._factors``, their
-reader at 1-d points.
+reader at 1-d points.  Newton accepts the iterate of its last residual, so
+the solution keeps that residual's node sums (``nystrom._node_sums``), and
+z_S, at the partition points or anywhere, is read from them: beta and
+delta are not evaluated at the accepted node values a second time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,13 +49,22 @@ from .nystrom import (
     _km_at,
     _newton,
     _newton_controls,
+    _node_sums,
     _pieces,
     _prefix,
     _suffix,
 )
 from .problems import UrysohnProblem, _factors
 from .projection import PiecewiseLegendre, _check_order, _coefficients, basis_matrix, minimal_rho
-from .quadrature import CompositeGrid, _count, _fits, build_grid, gauss_rule, values_on
+from .quadrature import (
+    CompositeGrid,
+    _count,
+    _fits,
+    _frozen_array,
+    build_grid,
+    gauss_rule,
+    values_on,
+)
 
 __all__ = [
     "GalerkinSolution",
@@ -78,6 +90,9 @@ class GalerkinSolution(_NewtonTrace):
     z_g: PiecewiseLegendre
     z_g_node_values: GridFunction
     residual_norms: tuple
+    # nystrom._node_sums of z_g_node_values, set by the solver alone: not an
+    # __init__ argument, so dataclasses.replace and a hand-built solution get None
+    _km_sums: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def grid(self) -> CompositeGrid:
@@ -170,6 +185,8 @@ def _plan(problem, n, r, p, rho, rank=1):
     if problem.factors is None:  # the K_m sweep's row block and four kernel pieces
         node_bytes += 8 * min(nodes, _CHUNK) * nodes + 32 * max(_PIECE, block)
         what += " without factors"
+    else:  # the two node sums that the solution keeps for z_S
+        node_bytes += 16 * nodes * rank
     _fits(node_bytes + 17 * (n * r) ** 2, what)
     return n, r, p, rule
 
@@ -182,6 +199,7 @@ def solve_discrete_galerkin(
     rho: int | None = None,
     tol: float = 1e-12,
     max_iter: int = 50,
+    initial=None,
 ) -> GalerkinSolution:
     """Solve z - P_n K_m(z) = P_n f by Newton's method in coefficient space.
 
@@ -204,23 +222,33 @@ def solve_discrete_galerkin(
         F(c) = c - <K_m(z_c), phi> - c_f (finite, > 0), and the iteration
         cap (a positive integer).  A ``tol`` below the rounding floor
         eps*max|c| of the iterate raises SingularOperatorError.
+    initial : None, callable, or ndarray
+        Newton's start: None gives P_n f; a callable is evaluated at the
+        nodes and projected by P_n; an (n, r) array is taken as the
+        coefficients.  A wrong shape or a non-finite value raises
+        ValueError before any kernel or factor call.
+
+    The iterate that meets ``tol`` is that of the last residual, and the
+    solution keeps that residual's node sums of declared factors:
+    :func:`iterated_eval` on it reads z_S from them, without evaluating
+    beta and delta again.
 
     A solve on N = n*p*rho nodes plans 8*N*(11 + 5*r) + 16*p*rho*(r + 1)
     + 17*(n*r)**2 bytes: its node arrays, the tables of one coarse
     subinterval (offsets and basis, plain and weighted), and the float64
     Newton matrix with one more (n*r)**2 product and a 1-byte mask while it
-    is built.  That bounds the tracemalloc peak of a solve with rank-1
-    declared factors, r = 1..4, measured at 1.03 to 1.45 times it for
-    n = 1..64 and N = 3000..80000.  If it exceeds physical memory,
-    DomainError, with the byte count, comes before the grid is built.
-    Factors of rank q > 1 on either side add 8*N*(5 + 5*r)*(q - 1) bytes,
-    checked once a(nodes) and c(nodes) show q, before any t factor.  A
-    solve without factors adds 8*min(N, 128)*N bytes, the float64 row block
-    of its K_m sweep, and 32*max(65536, p*rho), four of the kernel pieces
-    that its sweep and its Jacobian form, decided from ``problem.factors``
-    before the grid is built; that plan is 1.21 to 1.52 times the
-    tracemalloc peak of the ``rpk-aks`` twin at (n, r) = (20, 1), (40, 1),
-    (6, 2) and (12, 2).
+    is built.  Declared factors of rank q (the larger side's) add 16*N*q
+    bytes, the two node sums that the solution keeps, and for q > 1 another
+    8*N*(5 + 5*r)*(q - 1), checked once a(nodes) and c(nodes) show q,
+    before any t factor.  With rank-1 factors, r = 1..4, the plan is 1.06
+    to 1.42 times the tracemalloc peak for n = 1..64 and N = 2700..80000.
+    If it exceeds physical memory, DomainError, with the byte count, comes
+    before the grid is built.  A solve without factors adds 8*min(N, 128)*N
+    bytes, the float64 row block of its K_m sweep, and 32*max(65536,
+    p*rho), four of the kernel pieces that its sweep and its Jacobian form,
+    decided from ``problem.factors`` before the grid is built; that plan is
+    1.21 to 1.52 times the tracemalloc peak of the ``rpk-aks`` twin at
+    (n, r) = (20, 1), (40, 1), (6, 2) and (12, 2).
     """
     n, r, p, rule = _plan(problem, n, r, p, rho)
     grid = build_grid(n, p, rule)
@@ -231,21 +259,31 @@ def solve_discrete_galerkin(
     def node_values(coeffs):
         return (coeffs @ basis.T).ravel()
 
-    _newton_controls(tol, max_iter)  # before the first kernel or factor call
+    _newton_controls(tol, max_iter)  # before the start and the first kernel or factor call
+    if initial is None:
+        c0 = c_f
+    elif callable(initial):
+        c0 = _coefficients(values_on(initial, grid.nodes), grid, basis)
+    else:
+        c0 = _frozen_array(initial, (n, r), "initial coefficients")
     s_factors = _factors(problem, 0, grid.nodes)
     if s_factors is not None:  # their rank, planned before the first t factor
         _plan(problem, n, r, p, rho, max(part.shape[1] for part in s_factors))
     km = _km_at(problem, grid, grid.nodes, s_factors)
     jacobian = _jacobian_at(problem, grid, wb, n, r, s_factors)
+    last = []  # the node values of the last residual's iterate and their node sums
 
     def residual(coeffs):
-        return coeffs - _coefficients(km(node_values(coeffs)), grid, basis) - c_f
+        last.clear()  # the old sums go before the new ones are formed
+        zvals = node_values(coeffs)
+        last.extend((zvals, _node_sums(problem, grid, zvals)))
+        return coeffs - _coefficients(km(*last), grid, basis) - c_f
 
-    def newton_step(coeffs, res):
-        return np.linalg.solve(jacobian(node_values(coeffs)), -res.ravel()).reshape(n, r)
+    def newton_step(coeffs, res):  # at the iterate of the last residual
+        return np.linalg.solve(jacobian(last[0]), -res.ravel()).reshape(n, r)
 
     coeffs, trace = _newton(
-        c_f.copy(),
+        c0,
         residual,
         newton_step,
         tol,
@@ -253,17 +291,26 @@ def solve_discrete_galerkin(
         "Galerkin Newton matrix is singular: 1 is numerically an "
         "eigenvalue of the projected linearised operator",
     )
-    return GalerkinSolution(
+    sol = GalerkinSolution(
         problem=problem,
         z_g=PiecewiseLegendre(n=n, r=r, coeffs=coeffs),
-        z_g_node_values=GridFunction(grid, node_values(coeffs)),
+        z_g_node_values=GridFunction(grid, last[0]),
         residual_norms=tuple(trace),
     )
+    # the accepted iterate is the last residual's, so its sums serve z_S
+    object.__setattr__(sol, "_km_sums", last[1])
+    return sol
 
 
 def iterated_eval(sol: GalerkinSolution, s):
-    """Evaluate the iterated solution z_S(s) = K_m(z_G)(s) + f(s)."""
-    return _extension(sol.problem, sol.z_g_node_values, s)
+    """Evaluate the iterated solution z_S(s) = K_m(z_G)(s) + f(s).
+
+    On a solution returned by :func:`solve_discrete_galerkin` K_m reads the
+    node sums of the accepted iterate, which its last residual formed; any
+    other solution has none, and its sums are formed here.  Either way the
+    bits are those of the sums at ``sol.z_g_node_values``.
+    """
+    return _extension(sol.problem, sol.z_g_node_values, s, sol._km_sums)
 
 
 def partition_point_errors(sol: GalerkinSolution, exact=None):

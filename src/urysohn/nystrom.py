@@ -13,10 +13,12 @@ accuracy to O(fine_h**2): the diagonal kink sits inside quadrature panels.
 ``problems._factors``: K_m at M points, for the natural extension and the
 Galerkin residual, takes O((N + M) * rank + M log N), of which the M-point
 half (the node counts j and the s factors) is built once per point set and
-the node half, the blocked prefix and suffix sums :func:`_prefix` and
-:func:`_suffix`, once per iterate.  :func:`apply_km`, :func:`km_prime_apply`
-and the Newton solve always sum kernel entries, formed from declared
-factors by ``kernel_eval``; the ``factors=None`` twin is their reference.
+the node half, :func:`_node_sums`, the blocked prefix and suffix sums
+:func:`_prefix` and :func:`_suffix`, once per iterate, which a caller may
+keep and pass back for the same iterate.  :func:`apply_km`,
+:func:`km_prime_apply` and the Newton solve always sum kernel entries,
+formed from declared factors by ``kernel_eval``; the ``factors=None`` twin
+is their reference.
 
 Newton's method solves with the Jacobian I - K_m'(x) by GMRES: K_m'(x) is
 compact for a Green's-function-type kernel, so the GMRES iteration count
@@ -187,38 +189,54 @@ def _suffix(values, axis=0):
     return _prefix(values[back], axis)[back]
 
 
+def _node_sums(problem, grid, xvals):
+    """What K_m at any points needs of the node values ``xvals``: None without
+    factors, where :func:`_km_at` sums kernel entries of xvals itself, and with
+    them (below, above), below[j] = sum_{b < j} W_b beta(node_b, x_b) and
+    above[j] = sum_{b >= j} W_b delta(node_b, x_b), checked finite.
+
+    Both are blocked sums, :func:`_prefix` and :func:`_suffix`; ``above`` is
+    summed from the end, since total - below loses digits near 1.
+    """
+    if problem.factors is None:
+        return None
+    w = grid.node_weights[:, None]
+    wbeta, wdelta = (w * g for g in _factors(problem, 1, grid.nodes, xvals))
+    below = np.zeros((grid.node_count + 1, wbeta.shape[1]))
+    above = np.zeros((grid.node_count + 1, wdelta.shape[1]))
+    below[1:], above[:-1] = _prefix(wbeta), _suffix(wdelta)
+    _check_finite(problem, below, above)
+    return below, above
+
+
 def _km_at(problem, grid, s, s_factors=None):
-    """``xvals -> K_m(x)(s)`` at points s (an array, any shape and order); the one path
-    from declared factors to K_m.
+    """``(xvals, sums=None) -> K_m(x)(s)`` at points s (an array, any shape and order);
+    the one path from declared factors to K_m.  ``sums``, if given, are
+    :func:`_node_sums` of xvals, which are then not summed again.
 
     Without factors this is the dense sum :func:`_weighted_kernel_sum`.
     With them K_m(x)(s) = a(s) . below[j] + c(s) . above[j] with j the count
-    of nodes <= s, below[j] = sum_{b < j} W_b beta(node_b, x_b) and above[j]
-    = sum_{b >= j} W_b delta(node_b, x_b), so a point on a node takes the
-    lower branch there, as in kernel_eval.  Both are blocked sums,
-    :func:`_prefix` and :func:`_suffix`; ``above`` is summed from the end,
-    since total - below loses digits near 1.  j, a(s) and c(s) do not
-    depend on x: they are found once, here, unless ``s_factors`` passes
-    a(s) and c(s), ``problems._factors(problem, 0, np.ravel(s))``.
+    of nodes <= s, so a point on a node takes the lower branch there, as in
+    kernel_eval.  j, a(s) and c(s) do not depend on x: they are found once,
+    here, unless ``s_factors`` passes a(s) and c(s),
+    ``problems._factors(problem, 0, np.ravel(s))``.
     :func:`apply_km`, :func:`km_prime_apply` and the Nystrom residual sum,
     and the Newton step stores, the kernel entries of :func:`_sweep` even
     with factors, each then a product of the factors (``kernel_eval``), as
     the benchmark pins their counts; the ``factors=None`` twin is the reference.
     """
     if problem.factors is None:
-        return lambda xvals: _weighted_kernel_sum(problem, grid, xvals, s, 0, grid.node_weights)
+        return lambda xvals, sums=None: _weighted_kernel_sum(
+            problem, grid, xvals, s, 0, grid.node_weights
+        )
     flat = np.ravel(s)
     j = np.searchsorted(grid.nodes, flat, side="right")
     a_s, c_s = _factors(problem, 0, flat) if s_factors is None else s_factors
-    w = grid.node_weights[:, None]
 
-    def km(xvals):
-        wbeta, wdelta = (w * g for g in _factors(problem, 1, grid.nodes, xvals))
-        below = np.zeros((grid.node_count + 1, wbeta.shape[1]))
-        above = np.zeros((grid.node_count + 1, wdelta.shape[1]))
-        below[1:], above[:-1] = _prefix(wbeta), _suffix(wdelta)
+    def km(xvals, sums=None):
+        below, above = _node_sums(problem, grid, xvals) if sums is None else sums
         out = np.sum(a_s * below[j], axis=-1) + np.sum(c_s * above[j], axis=-1)
-        _check_finite(problem, below, above, out)
+        _check_finite(problem, out)
         return out.reshape(np.shape(s))
 
     return km
@@ -250,10 +268,11 @@ def km_prime_apply(problem: UrysohnProblem, base: GridFunction, v: GridFunction,
     return _weighted_kernel_sum(problem, base.grid, base.values, _unit_points(s), 1, weights)
 
 
-def _extension(problem: UrysohnProblem, x: GridFunction, s):
-    """Natural extension f(s) + K_m(x)(s) at points s in [0, 1]."""
+def _extension(problem: UrysohnProblem, x: GridFunction, s, sums=None):
+    """Natural extension f(s) + K_m(x)(s) at points s in [0, 1]; ``sums``, if given,
+    are :func:`_node_sums` of x."""
     s = _unit_points(s)  # before f, which need not be defined outside [0, 1]
-    out = values_on(problem.f, s) + _km_at(problem, x.grid, s)(x.values)
+    out = values_on(problem.f, s) + _km_at(problem, x.grid, s)(x.values, sums)
     return float(out) if s.ndim == 0 else out
 
 

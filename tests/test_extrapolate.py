@@ -1,5 +1,7 @@
 """Richardson extrapolation and convergence-study reporting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from urysohn import (
     convergence_study,
     estimate_order,
     get_problem,
+    iterated_eval,
     richardson,
+    solve_discrete_galerkin,
 )
 
 
@@ -217,3 +221,38 @@ def test_convergence_study_keeps_the_solver_error_type():
         convergence_study(pb, 1, [4, 8], p=1, rho=2)
     assert exc.value.residual_norms
     assert exc.value.residual_norms == exc.value.__cause__.residual_norms
+
+
+# (r, ladder) of the nested-start tests on rpk-aks
+NESTED = {"r1": (1, [10, 20, 40, 80]), "r2": (2, [3, 6, 12])}
+
+
+@pytest.mark.parametrize("case", list(NESTED))
+def test_each_level_after_the_first_starts_from_the_z_s_below(case):
+    # Nested iteration: a level started from the z_S of the level below is
+    # in its quadratic basin, and stops one quadratic step past tol.
+    r, ns = NESTED[case]
+    pb = get_problem("rpk-aks")
+    report = convergence_study(pb, r, ns)
+    first, *warm = report.levels
+    direct = solve_discrete_galerkin(pb, ns[0], r)
+    assert first.residual_norms == direct.residual_norms
+    np.testing.assert_array_equal(
+        first.z_s, iterated_eval(direct, direct.grid.partition_points)
+    )
+    for level in warm:
+        assert level.newton_iterations <= 3
+        tight = solve_discrete_galerkin(pb, level.n, r, tol=1e-14)
+        z_tight = iterated_eval(tight, tight.grid.partition_points)
+        assert np.max(np.abs(level.z_s - z_tight)) <= 1e-14 * np.max(np.abs(z_tight))
+
+
+@pytest.mark.parametrize("r, ns", [(1, [10, 20, 40]), (2, [3, 6, 12])])
+def test_the_nested_ladder_of_the_dense_twin_matches_the_factored_ladder(r, ns):
+    pb = get_problem("rpk-aks")
+    factored = convergence_study(pb, r, ns)
+    dense = convergence_study(dataclasses.replace(pb, factors=None), r, ns)
+    for got, want in zip(dense.levels, factored.levels):
+        assert got.newton_iterations == want.newton_iterations
+        np.testing.assert_allclose(got.z_s, want.z_s, rtol=0, atol=1e-14)
+    assert all(level.newton_iterations <= 3 for level in dense.levels[1:])

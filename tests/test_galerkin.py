@@ -15,6 +15,7 @@ import pytest
 from urysohn import (
     DomainError,
     EvaluationError,
+    GalerkinSolution,
     GridFunction,
     PrecisionError,
     SingularOperatorError,
@@ -703,8 +704,8 @@ def test_the_size_plan_counts_the_rank_of_the_declared_factors(monkeypatch):
     n, r = 6, 1
     block = n**r * minimal_rho(r)
     nodes = n * block
-    rank_one = 8 * nodes * (11 + 5 * r) + 16 * block * (r + 1) + 17 * (n * r) ** 2
-    rank_two = rank_one + 8 * nodes * (5 + 5 * r)
+    rank_one = 8 * nodes * (13 + 5 * r) + 16 * block * (r + 1) + 17 * (n * r) ** 2
+    rank_two = rank_one + 8 * nodes * (7 + 5 * r)
     physical = (rank_one + rank_two) // 2
     real = os.sysconf
     pages = {"SC_PHYS_PAGES": physical, "SC_PAGE_SIZE": 1}
@@ -882,6 +883,95 @@ def test_nonfinite_factor_values_of_an_extension_raise_the_kernel_error():
         for s in (0.5, np.linspace(0.0, 1.0, 11)):
             with pytest.raises(EvaluationError, match="non-finite"):
                 sol(s)
+
+
+@pytest.mark.parametrize(
+    "initial, match",
+    [
+        (np.ones((4, 2)), r"initial coefficients shape \(4, 2\), expected \(4, 1\)"),
+        (np.ones(4), "initial coefficients shape"),
+        (np.full((4, 1), np.nan), "initial coefficients must be finite"),
+        (np.full((4, 1), -np.inf), "initial coefficients must be finite"),
+        (lambda s: np.where(s > 0.5, np.nan, 1.0), "non-finite value at node"),
+        (lambda s: np.full(np.shape(s), np.inf), "non-finite value at node"),
+    ],
+)
+def test_a_bad_start_is_refused_before_any_kernel_or_factor_call(
+    kernel_free_problem, initial, match
+):
+    with pytest.raises(ValueError, match=match):
+        solve_discrete_galerkin(kernel_free_problem, 4, 1, initial=initial)
+    calls = collections.Counter()
+    spy = counted_factors(get_problem("rpk-aks"), calls)
+    calls.clear()  # of the construction check
+    with pytest.raises(ValueError, match=match):
+        solve_discrete_galerkin(spy, 4, 1, initial=initial)
+    assert calls == {}
+
+
+@pytest.mark.parametrize("factored", [True, False], ids=["factored", "dense"])
+def test_the_default_start_is_the_projection_of_f(crossing_problem, factored):
+    pb = get_problem("rpk-aks") if factored else crossing_problem
+    n, r = 6, 2
+    default = solve_discrete_galerkin(pb, n, r)
+    c_f = project(pb.f, default.grid, r).coeffs
+    for initial in (None, pb.f, c_f):
+        sol = solve_discrete_galerkin(pb, n, r, initial=initial)
+        assert sol.residual_norms == default.residual_norms
+        np.testing.assert_array_equal(sol.z_g.coeffs, default.z_g.coeffs)
+
+
+def test_a_start_near_the_solution_saves_newton_steps():
+    pb = get_problem("rpk-aks")
+    cold = solve_discrete_galerkin(pb, 20, 1)
+    warm = solve_discrete_galerkin(pb, 20, 1, initial=pb.exact)
+    assert warm.newton_iterations < cold.newton_iterations
+    np.testing.assert_allclose(warm.z_g.coeffs, cold.z_g.coeffs, rtol=0, atol=1e-12)
+
+
+def fresh_z_s(sol, pts):
+    """f + K_m at pts, K_m summed afresh at the solution's node values."""
+    x = sol.z_g_node_values
+    return sol.problem.f(pts) + _km_at(sol.problem, x.grid, pts)(x.values)
+
+
+# case -> (problem, n, r) of a solve whose z_S reads the sums of its last residual
+KEPT_SUMS = {
+    "r1": (lambda: get_problem("rpk-aks"), 10, 1),
+    "r2": (lambda: get_problem("rpk-aks"), 6, 2),
+    "r3": (lambda: get_problem("rpk-aks"), 4, 3),
+    "rank-two": (rank_two_problem, 6, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(KEPT_SUMS))
+def test_z_s_of_a_solve_reads_its_last_residual_sums_with_the_fresh_bits(case):
+    make, n, r = KEPT_SUMS[case]
+    calls = collections.Counter()
+    sol = solve_discrete_galerkin(counted_factors(make(), calls), n, r)
+    unsorted = np.random.default_rng(29).random(1001)
+    for pts in (sol.grid.partition_points, unsorted):
+        calls.clear()
+        got = iterated_eval(sol, pts)
+        assert calls["beta"] == calls["delta"] == 0  # the t factors are not evaluated again
+        np.testing.assert_array_equal(got, fresh_z_s(sol, pts))
+
+
+def test_kept_sums_never_serve_other_node_values_or_another_problem():
+    pb = get_problem("rpk-aks")
+    sol = solve_discrete_galerkin(pb, 10, 1)
+    grid = sol.grid
+    other = GridFunction(grid, sol.z_g_node_values.values + 0.01 * np.cos(grid.nodes))
+    pts = np.concatenate([grid.partition_points, np.random.default_rng(31).random(1001)])
+    stale = {
+        "replaced": dataclasses.replace(sol, z_g_node_values=other),
+        "hand-built": GalerkinSolution(pb, sol.z_g, other, sol.residual_norms),
+        "other problem": dataclasses.replace(sol, problem=sinh_problem(40.0)),
+    }
+    for name, changed in stale.items():
+        want = fresh_z_s(changed, pts)
+        assert not np.array_equal(want, iterated_eval(sol, pts)), name
+        np.testing.assert_array_equal(iterated_eval(changed, pts), want, err_msg=name)
 
 
 _THREADS_SCRIPT = """
