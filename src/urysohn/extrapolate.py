@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GridMismatchError
+from .errors import GridMismatchError
 from .galerkin import _plan, iterated_eval, solve_discrete_galerkin
-from .nystrom import _NewtonTrace
+from .nystrom import _inner_solve, _newton_controls, _NewtonTrace
 from .problems import UrysohnProblem
 from .quadrature import _count, _frozen_array, values_on
 
@@ -183,9 +183,10 @@ def convergence_study(
     ``tol=1e-14`` solve.  ``LevelResult.wall_time`` includes the
     evaluation of that start.
 
-    The solver's size check runs on the last level, the largest, before the
-    first is solved: a ladder whose top level does not fit in physical
-    memory raises DomainError at once.
+    Before the first level the ladder checks ``tol`` and ``max_iter``, then
+    the solver's size plan of the last level, exact at any factor rank: a
+    ladder whose top level does not fit in physical memory raises
+    DomainError at once, before f or any factor is called.
     """
     ns = []
     for n in n_list:
@@ -202,6 +203,7 @@ def convergence_study(
         raise ValueError(f"each n must double the previous one, got {ns}")
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
+    _newton_controls(tol, max_iter)
     _plan(problem, ns[-1], r, p, rho)
 
     solved = []
@@ -209,14 +211,8 @@ def convergence_study(
     initial = None  # P_n f on the first level, then z_S of the level below
     for n in ns:
         start = time.perf_counter()
-        try:
-            sol = solve_discrete_galerkin(
-                problem, n, r, p=p, rho=rho, tol=tol, max_iter=max_iter, initial=initial
-            )
-        except ConvergenceError as exc:
-            raise type(exc)(
-                f"level n={n} failed: {exc}", residual_norms=exc.residual_norms
-            ) from exc
+        args = (problem, n, r, p, rho, tol, max_iter, initial)
+        sol = _inner_solve(f"level n={n} failed", solve_discrete_galerkin, *args)
         wall = time.perf_counter() - start
         pts = sol.grid.partition_points
         solved.append((sol, wall))

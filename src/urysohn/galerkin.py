@@ -52,6 +52,7 @@ from .nystrom import (
     _node_sums,
     _pieces,
     _prefix,
+    _start,
     _suffix,
 )
 from .problems import UrysohnProblem, _factors
@@ -60,7 +61,6 @@ from .quadrature import (
     CompositeGrid,
     _count,
     _fits,
-    _frozen_array,
     build_grid,
     gauss_rule,
     values_on,
@@ -169,12 +169,14 @@ def _identity_minus(m_full, size):
     return jac
 
 
-def _plan(problem, n, r, p, rho, rank=1):
+def _plan(problem, n, r, p, rho):
     """(n, r, p, rule) of a solve of ``problem``, checked, and p defaulted to n**r;
-    DomainError, with the byte count, if its planned bytes, for factors of at most
-    ``rank`` terms a side, or for the dense sweeps of a problem without factors,
-    exceed physical memory.  Neither the grid nor the kernel is touched."""
+    DomainError, with the byte count, if its planned bytes, for factors of the rank
+    read on the problem's construction, or for the dense sweeps of a problem
+    without factors, exceed physical memory.  Neither the grid nor the kernel,
+    nor any factor, is touched."""
     n = _count(n, "n")
+    rank = problem._rank
     rule = gauss_rule(minimal_rho(r) if rho is None else rho)
     r = _check_order(r, rule.npoints)
     p = _count(n**r if p is None else p, "p")
@@ -220,8 +222,10 @@ def solve_discrete_galerkin(
     tol, max_iter :
         Newton control: sup norm of the coefficient residual
         F(c) = c - <K_m(z_c), phi> - c_f (finite, > 0), and the iteration
-        cap (a positive integer).  A ``tol`` below the rounding floor
-        eps*max|c| of the iterate raises SingularOperatorError.
+        cap (a positive integer), checked first: ValueError, a bool ``tol``
+        included, comes before the size plan and f.  A ``tol`` below the
+        rounding floor eps*max|c| of the iterate raises
+        SingularOperatorError.
     initial : None, callable, or ndarray
         Newton's start: None gives P_n f; a callable is evaluated at the
         nodes and projected by P_n; an (n, r) array is taken as the
@@ -239,36 +243,33 @@ def solve_discrete_galerkin(
     Newton matrix with one more (n*r)**2 product and a 1-byte mask while it
     is built.  Declared factors of rank q (the larger side's) add 16*N*q
     bytes, the two node sums that the solution keeps, and for q > 1 another
-    8*N*(5 + 5*r)*(q - 1), checked once a(nodes) and c(nodes) show q,
-    before any t factor.  With rank-1 factors, r = 1..4, the plan is 1.06
-    to 1.42 times the tracemalloc peak for n = 1..64 and N = 2700..80000.
-    If it exceeds physical memory, DomainError, with the byte count, comes
-    before the grid is built.  A solve without factors adds 8*min(N, 128)*N
-    bytes, the float64 row block of its K_m sweep, and 32*max(65536,
-    p*rho), four of the kernel pieces that its sweep and its Jacobian form,
-    decided from ``problem.factors`` before the grid is built; that plan is
-    1.21 to 1.52 times the tracemalloc peak of the ``rpk-aks`` twin at
-    (n, r) = (20, 1), (40, 1), (6, 2) and (12, 2).
+    8*N*(5 + 5*r)*(q - 1), with q read from a(s) and c(s) when the
+    problem is constructed.  With rank-1 factors, r = 1..4, the plan is
+    1.06 to 1.42 times the tracemalloc peak for n = 1..64 and N =
+    2700..80000.  The solve makes this one plan, at that rank, before the
+    grid is built and before f or any factor is called; if it exceeds
+    physical memory, DomainError carries the byte count.  A solve without
+    factors adds 8*min(N, 128)*N bytes, the float64 row block of its K_m
+    sweep, and 32*max(65536, p*rho), four of the kernel pieces that its
+    sweep and its Jacobian form, decided from ``problem.factors`` in the
+    same plan; that plan is 1.21 to 1.52 times the tracemalloc peak of the
+    ``rpk-aks`` twin at (n, r) = (20, 1), (40, 1), (6, 2) and (12, 2).
     """
+    max_iter = _newton_controls(tol, max_iter)
     n, r, p, rule = _plan(problem, n, r, p, rho)
     grid = build_grid(n, p, rule)
     basis = basis_matrix(grid, r)  # (block, r), identical on every subinterval
     wb = grid.node_weights[: basis.shape[0], None] * basis
-    c_f = _coefficients(values_on(problem.f, grid.nodes), grid, basis)
 
     def node_values(coeffs):
         return (coeffs @ basis.T).ravel()
 
-    _newton_controls(tol, max_iter)  # before the start and the first kernel or factor call
-    if initial is None:
-        c0 = c_f
-    elif callable(initial):
-        c0 = _coefficients(values_on(initial, grid.nodes), grid, basis)
-    else:
-        c0 = _frozen_array(initial, (n, r), "initial coefficients")
+    def project(values):  # P_n of node values, as coefficients
+        return _coefficients(values, grid, basis)
+
+    c_f = project(values_on(problem.f, grid.nodes))
+    c0 = _start(initial, grid, c_f, "initial coefficients", project)
     s_factors = _factors(problem, 0, grid.nodes)
-    if s_factors is not None:  # their rank, planned before the first t factor
-        _plan(problem, n, r, p, rho, max(part.shape[1] for part in s_factors))
     km = _km_at(problem, grid, grid.nodes, s_factors)
     jacobian = _jacobian_at(problem, grid, wb, n, r, s_factors)
     last = []  # the node values of the last residual's iterate and their node sums

@@ -35,6 +35,10 @@ independence that start lies in the fine quadratic basin; it saves fine
 sweeps where one fine step then meets ``tol`` (rpk-aks: from ~1200 panels),
 and below that only adds coarse work, as the fine solve takes two steps.
 
+Both solvers check ``tol`` and ``max_iter`` (:func:`_newton_controls`), then
+their size plan, then read ``initial`` (:func:`_start`): f, the factors and
+the kernel run only after the first two.
+
 Every O(N**2) kernel sweep is a :func:`_sweep`, a generator of the row
 blocks of ascending points.  It owns one float64 row block, allocated per
 sweep, in which ``kernel_eval`` forms each entry once, in place: from
@@ -337,10 +341,33 @@ def _gmres(matvec, b):
 
 
 def _newton_controls(tol, max_iter) -> int:
-    """ValueError unless ``tol`` is finite and > 0 and ``max_iter`` a positive integer; max_iter."""
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+    """ValueError unless ``tol`` is a finite real > 0, not a bool, and ``max_iter`` a
+    positive integer; max_iter.  Each solver calls it first, before any other work."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     return _count(max_iter, "max_iter")
+
+
+def _start(initial, grid, default, what, project=None):
+    """Newton's start from a solver's ``initial``: ``default`` for None, a callable's
+    values at the grid nodes, passed through ``project`` if given, or an array of
+    default's shape, finite, named ``what`` in the ValueError of one that is not."""
+    if initial is None:
+        return default
+    if callable(initial):
+        values = values_on(initial, grid.nodes)
+        return values if project is None else project(values)
+    return _frozen_array(initial, default.shape, what)
+
+
+def _inner_solve(prefix, solve, *args):
+    """``solve(*args)`` for an outer solve: a ConvergenceError is raised again as its
+    own class, its message after ``prefix``, with its trace, from it."""
+    try:
+        return solve(*args)
+    except ConvergenceError as exc:
+        raise type(exc)(f"{prefix}: {exc}", residual_norms=exc.residual_norms) from exc
 
 
 def _newton(x0, residual, newton_step, tol, max_iter, singular_message):
@@ -356,10 +383,9 @@ def _newton(x0, residual, newton_step, tol, max_iter, singular_message):
     an equation without a solution that is how a nearly singular Newton
     matrix shows, through an iterate grown to ~1/eps.
 
-    ``tol`` and ``max_iter`` are checked by :func:`_newton_controls` before
-    the first residual.
+    The caller has checked ``tol`` and ``max_iter`` by :func:`_newton_controls`,
+    before any other work of its solve.
     """
-    max_iter = _newton_controls(tol, max_iter)
     x = x0
     trace = []
     for _ in range(max_iter):
@@ -479,29 +505,22 @@ def solve_nystrom(
         If the kernel returns non-finite values, or a W_b*dk/du entry is
         beyond the float32 range of the assembled K_m'(x).
     ValueError
-        If ``tol``, ``max_iter`` or ``initial`` is out of range, before any
-        kernel evaluation; DomainError, with the byte count, before f and
-        the coarse start too, if 4*N**2 exceeds physical memory.
+        If ``tol`` (a bool included) or ``max_iter`` is out of range, first:
+        before the size plan, f and the coarse start.  Then DomainError, with
+        the byte count, before f and the coarse start, if 4*N**2 exceeds
+        physical memory; then, before any kernel evaluation, if ``initial``
+        is out of range.
     """
+    max_iter = _newton_controls(tol, max_iter)
     n_nodes = grid.node_count
     _fits(4 * n_nodes**2, f"the float32 K_m'(x) of {n_nodes} nodes")
 
     f_nodes = values_on(problem.f, grid.nodes)
     if initial is None and grid.n * grid.p > _TWO_GRID_FLOOR:
         coarse = build_grid(grid.n * grid.p // 4, 1, grid.rule)
-        try:
-            initial = solve_nystrom(problem, coarse, tol, max_iter)
-        except ConvergenceError as exc:
-            raise type(exc)(
-                f"coarse start on the {coarse.node_count}-node grid failed: {exc}",
-                residual_norms=exc.residual_norms,
-            ) from exc
-    if initial is None:
-        x0 = f_nodes
-    elif callable(initial):
-        x0 = values_on(initial, grid.nodes)
-    else:
-        x0 = _frozen_array(initial, (n_nodes,), "initial values")
+        prefix = f"coarse start on the {coarse.node_count}-node grid failed"
+        initial = _inner_solve(prefix, solve_nystrom, problem, coarse, tol, max_iter)
+    x0 = _start(initial, grid, f_nodes, "initial values")
 
     w = grid.node_weights
 

@@ -19,7 +19,7 @@ the factors in :func:`kernel_eval`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -65,11 +65,13 @@ class UrysohnProblem:
     side, to 1e-12 of the largest finite branch value there; points where
     a branch is not finite are not compared.  Otherwise ValueError names
     the side and the order; factors not shaped as two triples of callables
-    raise ValueError too.  Declared factors are the kernel of every solver
-    path.  Two functions read them: ``_factors`` at 1-d points, for the
-    prefix sums of K_m and of the Galerkin Jacobian, and ``_branch_into``
-    on blocks, for each dense entry (:func:`kernel_eval`) and for the check
-    above.  The branches serve the check, :func:`residual_check` and the
+    raise ValueError too.  The check also reads the factors' rank, the
+    larger of a(s)'s and c(s)'s, which the Galerkin size plan counts.
+    Declared factors are the kernel of every solver path.  Two functions
+    read them: ``_factors`` at 1-d points, for the prefix sums of K_m and
+    of the Galerkin Jacobian, and ``_branch_into`` on blocks, for each
+    dense entry (:func:`kernel_eval`) and for the check above.  The
+    branches serve the check, :func:`residual_check` and the
     ``factors=None`` twin, whose dense entries ``_branch_into`` copies from
     them.
     """
@@ -83,10 +85,12 @@ class UrysohnProblem:
     exact: Callable | None = None
     description: str = ""
     factors: tuple | None = None
+    # the larger side's rank of a(s) and c(s), read on construction (1 without factors)
+    _rank: int = field(default=1, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.factors is not None:
-            _check_factors(self)
+            object.__setattr__(self, "_rank", _check_factors(self))
 
 
 # The fixed sample on which declared factors must reproduce the branches:
@@ -113,8 +117,9 @@ def _factors(problem: UrysohnProblem, which: int, *args):
     return parts
 
 
-def _check_factors(problem: UrysohnProblem) -> None:
-    """ValueError unless the factors reproduce the branches on the fixed sample."""
+def _check_factors(problem: UrysohnProblem) -> int:
+    """ValueError unless the factors reproduce the branches on the fixed sample;
+    the larger rank of a(s) and c(s) there."""
     sides = problem.factors
     # the type test comes first: len() fails on a non-sequence such as an int
     if not (
@@ -132,12 +137,14 @@ def _check_factors(problem: UrysohnProblem) -> None:
         ("lower", t <= s, problem.kappa_lower, problem.kappa_lower_du),
         ("upper", t > s, problem.kappa_upper, problem.kappa_upper_du),
     )
+    rank = 1
     for side, (name, on_side, *branch) in enumerate(branches):
         args = (s[on_side], t[on_side], u[on_side])
         got = np.empty(args[0].shape)
         for order, what in enumerate(("value", "du")):
             want = np.broadcast_to(np.asarray(branch[order](*args), dtype=float), got.shape)
-            _branch_into(problem, side, order, *args, got)
+            a_s = _branch_into(problem, side, order, *args, got)[0]  # a(s) or c(s)
+            rank = max(rank, a_s.shape[-1])
             finite = np.isfinite(want)
             scale = float(np.max(np.abs(want[finite]), initial=0.0))
             if not np.all(np.abs(got[finite] - want[finite]) <= _FACTOR_RTOL * scale):
@@ -145,6 +152,7 @@ def _check_factors(problem: UrysohnProblem) -> None:
                     f"factors of {problem.name!r} do not reproduce the {name} branch "
                     f"({what}) to {_FACTOR_RTOL:g} of its largest value on the sample"
                 )
+    return rank
 
 
 def _check_finite(problem: UrysohnProblem, *arrays) -> None:
@@ -168,26 +176,26 @@ def _finite_by_factors(s_part, t_part) -> bool:
     return rank * s_max * t_max < _FINITE_BOUND
 
 
-def _branch_into(problem: UrysohnProblem, side: int, order: int, s, t, u, out) -> bool:
+def _branch_into(problem: UrysohnProblem, side: int, order: int, s, t, u, out):
     """Write branch ``side`` (0 lower, 1 upper) of the kernel, or of dk/du for
     ``order`` 1, at (s, t, u) into ``out``; the one filler of both kernel forms.
 
     Declared factors write sum_q a(s)_q * beta(t, u)_q (c and delta above),
-    broadcast to out's shape, straight into it; otherwise the branch
-    callable's value is copied in.  True when :func:`_finite_by_factors`
-    alone proves every entry finite, False when the caller must look.
+    broadcast to out's shape, straight into it, and the factor values
+    (a(s), beta(t, u)) are returned; otherwise the branch callable's value
+    is copied in and None returned.
     """
     if problem.factors is None:
         branches = (problem.kappa_lower, problem.kappa_upper)
         if order:
             branches = (problem.kappa_lower_du, problem.kappa_upper_du)
         np.copyto(out, branches[side](s, t, u))
-        return False
+        return None
     factor = problem.factors[side]
     parts = (np.asarray(factor[0](s)), np.asarray(factor[1 + order](t, u)))
     wide = (np.broadcast_to(part, out.shape + part.shape[-1:]) for part in parts)
     np.einsum("...q,...q->...", *wide, out=out)
-    return _finite_by_factors(*parts)
+    return parts
 
 
 def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0, out=None):
@@ -240,17 +248,17 @@ def kernel_eval(problem: UrysohnProblem, s, t, u, u_derivative_order: int = 0, o
         raise ValueError(f"out must be a float64 array of shape {shape}")
     nonempty = s.size > 0 and t.size > 0
     if nonempty and t.max() <= s.min():
-        finite = _branch_into(problem, 0, order, s, t, u, out)  # the lower branch alone
+        parts = _branch_into(problem, 0, order, s, t, u, out)  # the lower branch alone
     elif nonempty and t.min() > s.max():
-        finite = _branch_into(problem, 1, order, s, t, u, out)  # the upper branch alone
+        parts = _branch_into(problem, 1, order, s, t, u, out)  # the upper branch alone
     else:
         lower = np.empty(shape)
         with np.errstate(all="ignore"):
             _branch_into(problem, 1, order, s, t, u, out)
             _branch_into(problem, 0, order, s, t, u, lower)
         np.copyto(out, lower, where=t <= s)  # the selection of np.where(t <= s, lower, upper)
-        finite = False
-    if not finite:
+        parts = None
+    if parts is None or not _finite_by_factors(*parts):
         _check_finite(problem, out)
     return out if given or out.ndim else float(out)
 

@@ -54,3 +54,15 @@ def kernel_free_problem():
         kappa_upper_du=never,
         factors=None,
     )
+
+
+@pytest.fixture()
+def counted_forcing(kernel_free_problem):
+    """(kernel_free_problem with an f that records the point count of each call, the counts)."""
+    sizes = []
+
+    def f(s):
+        sizes.append(np.size(s))
+        return kernel_free_problem.f(s)
+
+    return dataclasses.replace(kernel_free_problem, name="counted-forcing", f=f), sizes

@@ -156,6 +156,23 @@ def test_convergence_study_validates_ladder():
     assert [level.n for level in report.levels] == [2, 4]
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"tol": np.nan}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": True}, "tol"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": 2.5}, "max_iter"),
+    ],
+)
+def test_the_ladder_checks_the_newton_arguments_before_f(counted_forcing, bad, match):
+    problem, f_sizes = counted_forcing
+    with pytest.raises(ValueError, match=match):
+        convergence_study(problem, 1, [10, 20, 40], **bad)
+    assert f_sizes == []
+
+
 def test_convergence_study_requires_exact_solution():
     from urysohn import UrysohnProblem
 

@@ -22,6 +22,7 @@ from urysohn import (
     UrysohnProblem,
     apply_km,
     build_grid,
+    convergence_study,
     gauss_rule,
     get_problem,
     hammerstein_problem,
@@ -239,13 +240,23 @@ def test_iteration_cap_must_be_positive():
 
 @pytest.mark.parametrize(
     "bad, match",
-    [({"tol": np.nan}, "tol"), ({"tol": -1.0}, "tol"), ({"max_iter": 2.5}, "max_iter")],
+    [
+        ({"tol": np.nan}, "tol"),
+        ({"tol": -1.0}, "tol"),
+        ({"tol": True}, "tol"),
+        ({"max_iter": 2.5}, "max_iter"),
+    ],
 )
 def test_newton_arguments_are_checked_before_any_kernel_evaluation(
-    kernel_free_problem, bad, match
+    kernel_free_problem, counted_forcing, bad, match
 ):
     with pytest.raises(ValueError, match=match):
         solve_discrete_galerkin(kernel_free_problem, 4, 1, **bad)
+    # first of all: before f at the 3200 nodes of n = 40
+    problem, f_sizes = counted_forcing
+    with pytest.raises(ValueError, match=match):
+        solve_discrete_galerkin(problem, 40, 1, **bad)
+    assert f_sizes == []
     # the factored path: rpk-aks with callables that record every call
     calls = []
 
@@ -700,24 +711,52 @@ def test_factored_solve_evaluates_the_s_factors_once_per_solve():
     assert iterations[0] < iterations[1]
 
 
-def test_the_size_plan_counts_the_rank_of_the_declared_factors(monkeypatch):
-    n, r = 6, 1
+def factored_plans(n, r):
+    """The size plans of a Galerkin solve at (n, r), p = n**r, with rank-1 and rank-2 factors."""
     block = n**r * minimal_rho(r)
     nodes = n * block
     rank_one = 8 * nodes * (13 + 5 * r) + 16 * block * (r + 1) + 17 * (n * r) ** 2
-    rank_two = rank_one + 8 * nodes * (7 + 5 * r)
-    physical = (rank_one + rank_two) // 2
+    return rank_one, rank_one + 8 * nodes * (7 + 5 * r)
+
+
+def physical_memory(monkeypatch, nbytes):
+    """Make ``nbytes`` the physical memory that the size plans are checked against."""
     real = os.sysconf
-    pages = {"SC_PHYS_PAGES": physical, "SC_PAGE_SIZE": 1}
+    pages = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real(name))
+
+
+def test_the_size_plan_counts_the_rank_of_the_declared_factors(monkeypatch):
+    n, r = 6, 1
+    rank_one, rank_two = factored_plans(n, r)
+    physical_memory(monkeypatch, (rank_one + rank_two) // 2)
     calls = collections.Counter()
     spy = counted_factors(rank_two_problem(), calls)
     calls.clear()  # of the construction check
     with pytest.raises(DomainError, match=f"with rank-2 factors needs {rank_two} bytes"):
         solve_discrete_galerkin(spy, n, r)
-    # the rank shows in a(nodes) and c(nodes); no t factor runs before the check
-    assert calls == {"a": 1, "c": 1}
+    # the rank was read on construction: no factor runs before the check
+    assert calls == {}
     assert solve_discrete_galerkin(get_problem("rpk-aks"), n, r).newton_iterations > 0
+
+
+def test_a_ladder_too_large_at_rank_two_is_refused_before_its_first_level(monkeypatch):
+    # n = 8, r = 1 plans 20,032 bytes with rank-1 factors and 32,320 with rank 2;
+    # the levels n = 2 and 4 fit in either
+    rank_one, rank_two = factored_plans(8, 1)
+    assert (rank_one, rank_two) == (20032, 32320)
+    physical_memory(monkeypatch, (rank_one + rank_two) // 2)
+    calls = collections.Counter()
+
+    def f(s):
+        calls["f"] += 1
+        return np.ones_like(np.asarray(s, dtype=float))
+
+    spy = dataclasses.replace(counted_factors(rank_two_problem(), calls), f=f, exact=f)
+    calls.clear()  # of the construction check
+    with pytest.raises(DomainError, match=f"with rank-2 factors needs {rank_two} bytes"):
+        convergence_study(spy, 1, [2, 4, 8])
+    assert calls == {}  # no level solved, no factor called
 
 
 def test_a_nonfinite_s_factor_raises_the_kernel_error_naming_the_problem():

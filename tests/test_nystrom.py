@@ -200,15 +200,21 @@ def test_iteration_cap_must_be_positive():
         ({"tol": -1.0}, "tol"),
         ({"tol": 0.0}, "tol"),
         ({"tol": np.inf}, "tol"),
+        ({"tol": True}, "tol"),
         ({"max_iter": 2.5}, "max_iter"),
         ({"max_iter": -3}, "max_iter"),
     ],
 )
 def test_newton_arguments_are_checked_before_any_kernel_evaluation(
-    kernel_free_problem, bad, match
+    kernel_free_problem, counted_forcing, bad, match
 ):
     with pytest.raises(ValueError, match=match):
         solve_nystrom(kernel_free_problem, builtin_grid(4), **bad)
+    # first of all: before f and the coarse start of a grid of more than 256 panels
+    problem, f_sizes = counted_forcing
+    with pytest.raises(ValueError, match=match):
+        solve_nystrom(problem, builtin_grid(1500), **bad)
+    assert f_sizes == []
 
 
 def test_a_solve_above_the_old_5000_node_cap_runs():
